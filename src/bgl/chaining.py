@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SemiMetric, covering_profile, covering_with_centers, family_semimetric
+from .entropy import SemiMetric, covering_profile, family_semimetric
 from .errors import DomainError, EvaluationError, ModelMismatchError
 from .measure import FunctionFamily, SimpleFunction, pointwise_max
 from .norms import (
@@ -405,20 +405,11 @@ def exp_orlicz_bound(family: FunctionFamily, a: float, beta1: float, beta2: floa
         return OrliczReport(bound=0.0, exact=exact, max_member_norm=member,
                             per_level_terms=(), tail_estimate=0.0, truncation_k=0,
                             degenerate_entropy=True)
-    n_distinct = metric.n_distinct()
-    mode = "exact" if metric.size <= 24 else "greedy"
-    terms = []
-    n = 1
-    k = 0
-    for k in range(1, k_max + 1):
-        eps = diam * theta ** k
-        n, _ = covering_with_centers(metric, eps, mode=mode)
-        h = math.log(n)
-        terms.append((k, theta ** (k - 1) * h ** gamma))
-        if n >= n_distinct:
-            break
-    saturated = n >= n_distinct
-    n_tail = n if saturated else metric.size
+    unit = metric.scaled(1.0 / diam)
+    profile = covering_profile(unit, theta, k_max)
+    terms = [(lv.k, theta ** (lv.k - 1) * lv.entropy ** gamma) for lv in profile.levels]
+    _, n_tail = _saturation(profile, unit)
+    k = profile.levels[-1].k
     tail = theta ** k * math.log(n_tail) ** gamma / (1.0 - theta) if n_tail > 1 else 0.0
     entropy_sum = sum(t for _, t in terms) + tail
     return OrliczReport(

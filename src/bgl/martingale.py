@@ -10,7 +10,6 @@ exact conditional check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,9 +45,6 @@ class MartingaleEnsemble:
     space: DiscreteMeasureSpace
     s_values: np.ndarray          # (n_paths, horizon)
     sigma: np.ndarray             # sigma(n) = Var(S_n)^{1/2}, n = 1..horizon
-    gamma: float                  # regular-variation exponent of sigma
-    slow_factor: Callable[[float], float]   # L with sigma(n) = n^gamma L(n)
-    c2: float                     # sup_n L(2n)/L(n)
     exhaustive: bool
 
     @property
@@ -138,12 +134,8 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None,
         sigma = np.sqrt(weights @ (s ** 2) - mean ** 2)
     else:
         sigma = np.sqrt(var_step * ns)
-    space = DiscreteMeasureSpace(weights)
-    l_value = math.sqrt(var_step)
-    return MartingaleEnsemble(
-        space=space, s_values=s, sigma=sigma, gamma=0.5,
-        slow_factor=lambda n: l_value, c2=1.0, exhaustive=exhaustive,
-    )
+    return MartingaleEnsemble(space=DiscreteMeasureSpace(weights), s_values=s,
+                              sigma=sigma, exhaustive=exhaustive)
 
 
 # ---------------------------------------------------------------------------

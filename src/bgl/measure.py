@@ -9,8 +9,8 @@ depends on exact diffuseness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class DiscreteMeasureSpace:
 
     weights: np.ndarray
     atom_ids: np.ndarray | None = None
-    sigma_finite_truncation: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)

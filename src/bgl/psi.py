@@ -13,7 +13,7 @@ new evaluators on the appropriately restricted support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "psi_doob",
     "psi_fourier",
     "check_log_convex",
-    "tabulate_psi",
 ]
 
 
@@ -313,8 +312,3 @@ def check_log_convex(psi: PsiFunction, grid: PGrid, tol: float = 1e-9) -> LogCon
     violation = math.expm1(worst)
     return LogConvexityReport(passed=violation <= tol, worst_violation=violation,
                               worst_triple=worst_triple, tol=tol)
-
-
-def tabulate_psi(psi: PsiFunction, grid: PGrid) -> np.ndarray:
-    """Values of psi on the grid (for reports and serialization)."""
-    return psi.eval(grid.points)

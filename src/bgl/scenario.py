@@ -1,47 +1,70 @@
-"""Scenario configs: flat sectioned text files driving batch verification runs.
+"""Scenario configs: flat sectioned text files that override criterion parameters.
 
-Grammar (INI-style, parsed by configparser):
+Every verb runs a fixed subset of the suite's criteria (`bgl.suite.VERBS`)
+at the suite's sub-seeds, so a failing suite record reruns on its own
+through its verb:
+
+    chain       pisier, generalized_pisier, chained_bound
+    norm        indicator, fatou
+    entropy     covering_oracle, dimension
+    martingale  doob, block_chain
+    fourier     fourier
+    suite       all eleven (the series bounds run only here)
+
+A config only overrides parameters; an absent key keeps the suite's value.
+Grammar (INI-style, parsed by configparser), with the criteria each key
+goes to:
 
     [scenario]
     kind = chain            ; norm | entropy | chain | martingale | fourier | suite
     seed = 7
 
-    [grid]
+    [grid]                  ; generalized_pisier, chained_bound, indicator
     lo = 1.05
     p_max = 200
     n = 64
 
-    [psi]
+    [psi]                   ; generalized_pisier, chained_bound, indicator
     name = power            ; constant | power | doob_factor | ratio | table | natural
-    beta = 1.0
+    beta = 1.0              ; power; kappa for ratio, points/values for table
 
-    [nu]
+    [nu]                    ; generalized_pisier, chained_bound
     name = doob_factor
 
-    [family]
+    [family]                ; pisier, generalized_pisier, chained_bound
     generator = random_nonneg   ; random_nonneg | disjoint_indicators | file
     members = 12
     atoms = 48
     count = 20
-    path = family.tsv           ; for generator = file
+    path = family.tsv           ; for generator = file, relative to this file
 
-    [chain]
+    [chain]                 ; theta, k_max: chained_bound; tol: all three
     theta = 0.3 0.5 0.7
     k_max = 32
     tol = 1e-8
 
-    [martingale]
+    [norm]                  ; indicator
+    deltas = 0.25 0.5 1 2 4
+    atoms = 256
+    atom_mass = 0.0625
+
+    [martingale]            ; horizon: doob, block_chain; p: doob
     horizon = 12
     p = 1.25 2 4
 
-    [fourier]
+    [fourier]               ; fourier
     m_list = 16 32 64 128
     degree_max = 12
     samples = 5
+    grid_points = 1024
 
-Unknown keys are rejected; every scenario records its seed so any failed
-case can be rerun in isolation.  Domain errors inside operations become
-failed records rather than crashes.
+Set together, [psi] and [nu] name generalized_pisier's single (psi, nu)
+pair; one left out is natural or power 1 respectively.  `natural` is the
+self-normalizing psi of each family, so the indicator check rejects it.
+
+Values are parsed and validated when the file loads: unknown sections and
+keys, bad numbers and unknown names raise DomainError before any check
+runs.  Errors inside a check become failed records.
 """
 
 from __future__ import annotations
@@ -49,40 +72,18 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
-import numpy as np
-
-from .chaining import chained_product_bound, generalized_pisier_bound, pisier_bound
-from .entropy import covering_number, covering_profile, entropy_dimension, family_semimetric
 from .errors import DomainError
-from .fixtures import (
-    circle_lattice_metric,
-    disjoint_indicator_family,
-    make_rng,
-    random_nonneg_family,
-    random_plane_metric,
-    random_trig_coeffs,
-    torus_lattice_metric,
-)
-from .fourier import maximal_ratio_check, square_wave_sample, trig_poly_sample
-from .martingale import (
-    build_walk_ensemble,
-    doob_check,
-    martingale_block_check,
-    norming_identity,
-    norming_log,
-    norming_log_loglog,
-    summability_check,
-)
-from .measure import DiscreteMeasureSpace, SimpleFunction, load_family
-from .norms import bgl_norm, fatou_check, indicator_norm_check, natural_psi
-from .psi import PGrid, PsiFunction, constant, doob_factor, from_table, power, ratio
+from .fixtures import disjoint_indicator_family
+from .measure import load_family
+from .psi import constant, doob_factor, from_table, power, ratio
 from .report import Report
-from . import suite as suite_mod
+from .suite import NATURAL, VERBS, run_criteria
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "default_scenario"]
 
-KINDS = ("norm", "entropy", "chain", "martingale", "fourier", "suite")
+KINDS = tuple(VERBS)
 
 _KNOWN_KEYS = {
     "scenario": {"kind", "seed"},
@@ -96,27 +97,23 @@ _KNOWN_KEYS = {
     "fourier": {"m_list", "degree_max", "samples", "grid_points"},
 }
 
+_CHAIN = ("pisier", "generalized_pisier", "chained_bound")
+_GRID = ("generalized_pisier", "chained_bound", "indicator")
+# the criteria whose domination tolerance --tol overrides
+_TOL = _CHAIN + ("block_chain",)
+
 
 @dataclass(frozen=True)
 class Scenario:
     kind: str
     seed: int
-    sections: dict = field(default_factory=dict)
-
-    def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
-
-    def floats(self, section: str, key: str, default):
-        raw = self.get(section, key)
-        if raw is None:
-            return list(default)
-        return [float(tok) for tok in str(raw).split()]
+    params: dict = field(default_factory=dict)  # criterion name -> overrides
 
 
 def default_scenario(kind: str, seed: int = 1) -> Scenario:
     if kind not in KINDS:
         raise DomainError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    return Scenario(kind=kind, seed=seed, sections={})
+    return Scenario(kind=kind, seed=seed)
 
 
 def load_scenario(path) -> Scenario:
@@ -142,243 +139,145 @@ def load_scenario(path) -> Scenario:
     kind = sections["scenario"].get("kind")
     if kind not in KINDS:
         raise DomainError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    seed = int(sections["scenario"].get("seed", "1"))
-    return Scenario(kind=kind, seed=seed, sections=sections)
+    seed = _value(sections, "scenario", "seed", int, 1)
+    return Scenario(kind=kind, seed=seed,
+                    params=_params(sections, kind, Path(path).parent))
 
 
-def _psi_from(scn: Scenario, section: str, fallback: PsiFunction,
-              family=None, grid=None) -> PsiFunction:
-    name = scn.get(section, "name")
+def _parse(section: str, key: str, raw: str, kind):
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise DomainError(f"[{section}] {key} = {raw!r} is not {what}")
+    return value
+
+
+def _value(sections: dict, section: str, key: str, kind, default=None):
+    raw = sections.get(section, {}).get(key)
+    return default if raw is None else _parse(section, key, raw, kind)
+
+
+def _values(sections: dict, section: str, key: str, kind):
+    raw = sections.get(section, {}).get(key)
+    if raw is None:
+        return None
+    if not raw.split():
+        raise DomainError(f"[{section}] {key} needs at least one value")
+    return tuple(_parse(section, key, tok, kind) for tok in raw.split())
+
+
+def _check_tol(tol) -> None:
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _psi(sections: dict, section: str):
+    name = sections.get(section, {}).get("name")
     if name is None:
-        return fallback
+        return None
+    if name == "natural":
+        return NATURAL
     if name == "constant":
         return constant()
     if name == "power":
-        return power(float(scn.get(section, "beta", 1.0)))
+        return power(_value(sections, section, "beta", float, 1.0))
     if name == "doob_factor":
         return doob_factor()
     if name == "ratio":
-        return ratio(float(scn.get(section, "kappa", 1.0)))
+        return ratio(_value(sections, section, "kappa", float, 1.0))
     if name == "table":
-        pts = [float(t) for t in str(scn.get(section, "points", "")).split()]
-        vals = [float(t) for t in str(scn.get(section, "values", "")).split()]
-        return from_table(pts, vals)
-    if name == "natural":
-        if family is None or grid is None:
-            raise DomainError("psi name 'natural' needs a family context")
-        return natural_psi(family, grid)
-    raise DomainError(f"unknown psi constructor {name!r}")
+        return from_table(_values(sections, section, "points", float) or (),
+                          _values(sections, section, "values", float) or ())
+    raise DomainError(f"unknown psi constructor {name!r} in [{section}]")
 
 
-def _grid_from(scn: Scenario) -> PGrid:
-    lo = float(scn.get("grid", "lo", 1.05))
-    p_max = float(scn.get("grid", "p_max", 200.0))
-    n = int(scn.get("grid", "n", 64))
-    return PGrid.log_spaced(lo, p_max, n, p_max_cap=p_max)
-
-
-def _families_from(scn: Scenario, rng):
-    gen = scn.get("family", "generator", "random_nonneg")
-    count = int(scn.get("family", "count", 20))
-    members = int(scn.get("family", "members", 12))
-    atoms = int(scn.get("family", "atoms", 48))
-    if gen == "random_nonneg":
-        for i in range(count):
-            yield i, random_nonneg_family(rng, members, atoms)
-    elif gen == "disjoint_indicators":
-        yield 0, disjoint_indicator_family(members)
-    elif gen == "file":
-        path = scn.get("family", "path")
-        if path is None:
-            raise DomainError("generator = file needs a path")
-        yield 0, load_family(path)
-    else:
-        raise DomainError(f"unknown family generator {gen!r}")
-
-
-# ---------------------------------------------------------------------------
-# per-kind runners
-
-
-def _run_norm(scn: Scenario, report: Report):
-    grid = _grid_from(scn)
-    atoms = int(scn.get("norm", "atoms", 256))
-    atom_mass = float(scn.get("norm", "atom_mass", 1.0 / 16.0))
-    space = DiscreteMeasureSpace(np.full(atoms, atom_mass))
-    deltas = scn.floats("norm", "deltas", [0.25, 0.5, 1.0, 2.0])
-    psi = _psi_from(scn, "psi", constant())
-    for delta in deltas:
-        try:
-            rep = indicator_norm_check(space, delta, psi, grid)
-            report.add(f"indicator_delta_{delta:g}", rep.passed,
-                       delta=delta, rel_diff=rep.rel_diff,
-                       norm_direct=rep.norm_direct, norm_formula=rep.norm_formula)
-        except (DomainError, ValueError) as exc:
-            report.add(f"indicator_delta_{delta:g}", False, error=str(exc))
-    n = 400
-    big = DiscreteMeasureSpace(np.full(n, 1.0 / n))
-    full = SimpleFunction(big, 2.0 ** -(np.arange(n) / 20.0))
-    chain = []
-    for k in range(40, n + 1, 40):
-        v = np.zeros(n)
-        v[:k] = full.values[:k]
-        chain.append(SimpleFunction(big, v))
-    fat = fatou_check(chain, full, psi if psi.a < 1.06 else constant(), grid)
-    report.add("fatou_truncation_chain", fat.monotone and fat.terminal_gap < 1e-6,
-               terminal_gap=fat.terminal_gap, monotone=fat.monotone)
-    rng = make_rng(scn.seed)
-    fam = random_nonneg_family(rng, 8, 64)
-    psi0 = natural_psi(fam, grid)
-    sigma = max(bgl_norm(f, psi0, grid).value for f in fam.members)
-    report.add("natural_function_normalizes", abs(sigma - 1.0) <= 1e-12, sigma=sigma)
-
-
-def _run_entropy(scn: Scenario, report: Report):
-    rng = make_rng(scn.seed)
-    below = 0
-    excess = 0
-    trials = 40
-    for _ in range(trials):
-        m = int(rng.integers(3, 13))
-        metric = random_plane_metric(rng, m)
-        eps = float(rng.uniform(0.05, 1.0)) * max(metric.diameter, 0.05)
-        e = covering_number(metric, eps, "exact")
-        g = covering_number(metric, eps, "greedy")
-        below += g < e
-        excess += g > e
-    report.add("greedy_never_below_exact", below == 0,
-               trials=trials, violations=below)
-    # greedy can exceed the optimum on adversarial instances; the rate is
-    # recorded rather than asserted
-    report.add("greedy_excess_rate", None, rate=excess / trials)
-    prof1 = covering_profile(circle_lattice_metric(8), 0.5, 12)
-    k1 = entropy_dimension(prof1, fit_range=(2, 6))
-    report.add("dimension_line", abs(k1 - 1.0) <= 0.2, kappa=k1)
-    _profile_record(report, "line_profile", prof1, k1)
-    prof2 = covering_profile(torus_lattice_metric(6), 0.5, 8)
-    k2 = entropy_dimension(prof2, fit_range=(2, 4))
-    report.add("dimension_square", abs(k2 - 2.0) <= 0.2, kappa=k2)
-    _profile_record(report, "square_profile", prof2, k2)
-
-
-def _profile_record(report: Report, name: str, profile, dimension_estimate):
-    report.add(name, None,
-               theta=profile.theta,
-               exact_mode=profile.exact,
-               k=[lv.k for lv in profile.levels],
-               eps=[lv.eps for lv in profile.levels],
-               n_balls=[lv.n_balls for lv in profile.levels],
-               entropy=[lv.entropy for lv in profile.levels],
-               dimension_estimate=dimension_estimate)
-
-
-def _run_chain(scn: Scenario, report: Report):
-    rng = make_rng(scn.seed)
-    grid = _grid_from(scn)
-    thetas = scn.floats("chain", "theta", [0.3, 0.5, 0.7])
-    k_max = int(scn.get("chain", "k_max", 32))
-    tol = float(scn.get("chain", "tol", 1e-8))
-    worst = math.inf
-    violations = 0
-    checked = 0
-    for idx, fam in _families_from(scn, rng):
-        psi = _psi_from(scn, "psi", natural_psi(fam, grid), family=fam, grid=grid)
-        nu = _psi_from(scn, "nu", power(1.0), family=fam, grid=grid)
-        for p in [1.5, 2.0, 4.0]:
-            r = pisier_bound(fam, p)
-            margin = (r.bound - r.exact) / max(r.exact, 1e-300)
-            worst = min(worst, margin)
-            violations += margin < -tol
-            checked += 1
-        g = generalized_pisier_bound(fam, psi, nu, grid)
-        margin = (g.bound - g.exact) / max(g.exact, 1e-300)
-        violations += margin < -tol
-        worst = min(worst, margin)
-        checked += 1
-        metric = family_semimetric(fam, psi=psi, grid=grid)
-        for theta in thetas:
-            rep = chained_product_bound(fam, psi, nu, grid, theta, k_max=k_max,
-                                        metric=metric)
-            margin = ((rep.bound_value - rep.exact_sup_norm)
-                      / max(rep.exact_sup_norm, 1e-300))
-            worst = min(worst, margin)
-            if margin < -tol:
-                violations += 1
-                report.add(f"chain_violation_family_{idx}", False,
-                           seed=scn.seed, family_index=idx, theta=theta,
-                           bound=rep.bound_value, exact=rep.exact_sup_norm)
-            checked += 1
-    report.add("chain_domination", violations == 0, seed=scn.seed,
-               checked=checked, violations=violations, worst_rel_margin=worst)
-    # full per-level serialization for one representative case, so an
-    # external checker can re-sum the bound from the report alone
-    rep = chained_product_bound(fam, psi, nu, grid, thetas[0], k_max=k_max)
-    report.add("chain_representative_levels", None,
-               family_index=idx, theta=rep.theta_star, anchor=rep.anchor,
-               levels=[k for k, _ in rep.per_level_terms],
-               terms=[t for _, t in rep.per_level_terms],
-               tail=rep.tail_estimate, truncation_k=rep.truncation_k,
-               bound=rep.bound_value, exact=rep.exact_sup_norm)
-
-
-def _run_martingale(scn: Scenario, report: Report):
-    horizon = int(scn.get("martingale", "horizon", 12))
-    ps = scn.floats("martingale", "p", [1.25, 2.0, 4.0])
-    ens = build_walk_ensemble(horizon)
-    grid = PGrid.log_spaced(1.1, 50.0, 48)
-    for p in ps:
-        rep = doob_check(ens, p, horizon)
-        report.add(f"doob_p_{p:g}", rep.passed, ratio=rep.ratio, cap=rep.cap)
-    for v in [norming_identity(), norming_log_loglog(1.0)]:
-        rep = martingale_block_check(ens, constant(), v, grid)
-        report.add(f"block_chain_v_{v.label}",
-                   rep.all_blocks_pass and rep.ratio <= 1.0 + 1e-9,
-                   ratio=rep.ratio, blocks=len(rep.blocks),
-                   condition_summable=rep.condition.summable)
-    report.add("log_norming_flagged", not summability_check(norming_log()).summable,
-               tail_fraction=summability_check(norming_log()).tail_fraction)
-
-
-def _run_fourier(scn: Scenario, report: Report):
-    rng = make_rng(scn.seed)
-    m_list = [int(x) for x in scn.floats("fourier", "m_list", [16, 32, 64, 128])]
-    n_samples = int(scn.get("fourier", "samples", 5))
-    grid_points = int(scn.get("fourier", "grid_points", 1024))
-    grid = PGrid.log_spaced(1.1, 32.0, 24)
-    rep = maximal_ratio_check(square_wave_sample(grid_points), constant(), grid, m_list)
-    report.add("square_wave_saturation", rep.saturation_ok, norm_ratio=rep.norm_ratio)
-    degree_max = int(scn.get("fourier", "degree_max", 12))
-    for i in range(n_samples):
-        a, b = random_trig_coeffs(rng, int(rng.integers(3, degree_max + 1)))
-        rep = maximal_ratio_check(trig_poly_sample(a, b, grid_points), constant(),
-                                  grid, m_list)
-        report.add(f"trig_poly_{i}_saturation", rep.saturation_ok,
-                   seed=scn.seed, index=i, norm_ratio=rep.norm_ratio)
-
-
-def run_scenario(scn: Scenario, p_max: float | None = None) -> Report:
-    """Dispatch a scenario to its runner; domain errors become failed records."""
-    meta = {"kind": scn.kind, "seed": scn.seed}
-    if p_max is not None:
-        meta["p_max"] = p_max
-        sections = dict(scn.sections)
-        grid_section = dict(sections.get("grid", {}))
-        grid_section["p_max"] = str(p_max)
-        sections["grid"] = grid_section
-        scn = Scenario(kind=scn.kind, seed=scn.seed, sections=sections)
-    if scn.kind == "suite":
-        rep = suite_mod.run_suite(scn.seed, p_max=p_max or 200.0)
-        return rep
-    report = Report(meta=meta)
-    runner = {
-        "norm": _run_norm,
-        "entropy": _run_entropy,
-        "chain": _run_chain,
-        "martingale": _run_martingale,
-        "fourier": _run_fourier,
-    }[scn.kind]
+def _family_file(sections: dict, base: Path):
+    raw = sections["family"].get("path")
+    if raw is None:
+        raise DomainError("generator = file needs a path")
+    path = base / raw
     try:
-        runner(scn, report)
-    except DomainError as exc:
-        report.add("scenario_error", False, error=str(exc))
-    return report
+        return load_family(path)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot load family {path}: {exc}") from exc
+
+
+def _params(sections: dict, kind: str, base: Path) -> dict:
+    """Criterion name -> keyword overrides for every key the config sets."""
+    params = {name: {} for name in VERBS["suite"]}
+
+    def put(names, key, value):
+        if value is not None:
+            for name in names:
+                params[name][key] = value
+
+    generator = sections.get("family", {}).get("generator", "random_nonneg")
+    if generator == "random_nonneg":
+        members = _value(sections, "family", "members", int)
+        put(_CHAIN, "members", None if members is None else (members, members + 1))
+        put(_CHAIN, "count", _value(sections, "family", "count", int))
+        put(_CHAIN, "atoms", _value(sections, "family", "atoms", int))
+    elif generator == "disjoint_indicators":
+        members = _value(sections, "family", "members", int, 12)
+        if members < 1:
+            raise DomainError(f"[family] members = {members} must be at least 1")
+        put(_CHAIN, "family", disjoint_indicator_family(members))
+    elif generator == "file":
+        put(_CHAIN, "family", _family_file(sections, base))
+    else:
+        raise DomainError(f"unknown family generator {generator!r}")
+
+    psi, nu = _psi(sections, "psi"), _psi(sections, "nu")
+    if psi is not None or nu is not None:
+        put(("generalized_pisier",), "pairs", [(NATURAL if psi is None else psi,
+                                                power(1.0) if nu is None else nu)])
+    put(("chained_bound",), "psi", psi)
+    put(("chained_bound",), "nus", None if nu is None else [nu])
+    if psi is NATURAL and "indicator" in VERBS[kind]:
+        raise DomainError("psi name 'natural' needs a family; the indicator check has none")
+    put(("indicator",), "psis", None if psi is None else [psi])
+
+    put(_GRID, "grid_lo", _value(sections, "grid", "lo", float))
+    put(_GRID, "grid_n", _value(sections, "grid", "n", int))
+    put(_GRID, "p_max", _value(sections, "grid", "p_max", float))
+
+    put(("chained_bound",), "thetas", _values(sections, "chain", "theta", float))
+    put(("chained_bound",), "k_max", _value(sections, "chain", "k_max", int))
+    tol = _value(sections, "chain", "tol", float)
+    _check_tol(tol)
+    put(_CHAIN, "tol", tol)
+
+    put(("indicator",), "deltas", _values(sections, "norm", "deltas", float))
+    put(("indicator",), "atoms", _value(sections, "norm", "atoms", int))
+    put(("indicator",), "atom_mass", _value(sections, "norm", "atom_mass", float))
+
+    horizon = _value(sections, "martingale", "horizon", int)
+    put(("doob",), "horizons", None if horizon is None else (horizon,))
+    put(("block_chain",), "horizon", horizon)
+    put(("doob",), "ps", _values(sections, "martingale", "p", float))
+
+    put(("fourier",), "m_list", _values(sections, "fourier", "m_list", int))
+    for key in ("samples", "degree_max", "grid_points"):
+        put(("fourier",), key, _value(sections, "fourier", key, int))
+    return params
+
+
+def run_scenario(scn: Scenario, p_max: float | None = None,
+                 tol: float | None = None) -> Report:
+    """Run the scenario's criteria.  ``p_max`` replaces every p_max, the
+    config's included; ``tol`` replaces every domination tolerance."""
+    if p_max is not None and not math.isfinite(p_max):
+        raise DomainError(f"p_max must be finite, got {p_max}")
+    _check_tol(tol)
+    params = {}
+    for name in VERBS[scn.kind]:
+        kw = dict(scn.params.get(name, {}))
+        if p_max is not None:
+            kw.pop("p_max", None)
+        if tol is not None and name in _TOL:
+            kw["tol"] = tol
+        params[name] = kw
+    return run_criteria(scn.kind, scn.seed, 200.0 if p_max is None else p_max, params)

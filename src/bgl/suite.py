@@ -1,9 +1,11 @@
-"""The acceptance matrix: every top-level verification in one runnable suite.
+"""The acceptance matrix: every top-level verification, each in one place.
 
-Each criterion is a pure function of an explicit seed, producing one record
-with pass/fail and the evidence needed to reproduce a violation in
-isolation (seed, case index, parameters).  `run_suite` strings them into a
-deterministic report: same seed, byte-identical structured output.
+Each criterion is a pure function of an explicit seed and its parameters,
+producing one record with pass/fail and the evidence needed to reproduce a
+violation in isolation (seed, case index, parameters).  The defaults are the
+suite's parameters; the CLI verbs run fixed subsets of `CRITERIA` and
+scenario configs only override parameters.  `run_criteria` strings them
+into a deterministic report: same seed, byte-identical structured output.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from scipy.special import zeta as riemann_zeta
 
 from .chaining import (
     chained_product_bound,
-    entropy_sum_bound,
     generalized_pisier_bound,
     pisier_bound,
     series_S_beta,
@@ -31,7 +32,7 @@ from .fixtures import (
     random_trig_coeffs,
     torus_lattice_metric,
 )
-from .fourier import maximal_ratio_check, sample_function, square_wave_sample, trig_poly_sample
+from .fourier import maximal_ratio_check, square_wave_sample, trig_poly_sample
 from .martingale import (
     build_walk_ensemble,
     doob_check,
@@ -42,105 +43,142 @@ from .martingale import (
     summability_check,
 )
 from .measure import DiscreteMeasureSpace, SimpleFunction
-from .norms import bgl_norm, fatou_check, indicator_norm_check, natural_psi
+from .norms import fatou_check, indicator_norm_check, natural_psi
 from .psi import PGrid, constant, doob_factor, power
 from .report import Record, Report
 
-__all__ = ["run_suite", "CRITERIA"]
+__all__ = ["run_suite", "run_criteria", "CRITERIA", "VERBS", "NATURAL"]
+
+# Stands for the natural generating function of each checked family; psi
+# parameters of the chain criteria accept it in place of a PsiFunction.
+NATURAL = "natural"
 
 
 def _grid(p_max: float, n: int = 64, lo: float = 1.05) -> PGrid:
     return PGrid.log_spaced(lo, p_max, n, p_max_cap=p_max)
 
 
+def _families(rng, count: int, members: tuple, atoms: int, family):
+    """(index, family) pairs: ``family`` alone when given, else ``count``
+    seeded random nonnegative families of rng.integers(*members) members."""
+    if family is not None:
+        yield 0, family
+        return
+    for i in range(count):
+        yield i, random_nonneg_family(rng, int(rng.integers(*members)), atoms)
+
+
+def _resolve(psi, fam, grid):
+    return natural_psi(fam, grid) if psi is NATURAL else psi
+
+
+class _Margins:
+    """Relative domination margins (bound - exact) / exact of one criterion,
+    with the first case whose margin falls below -tol."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.worst = math.inf
+        self.violations = 0
+        self.checked = 0
+        self.first = None
+
+    def add(self, bound: float, exact: float, **case):
+        margin = (bound - exact) / max(exact, 1e-300)
+        self.worst = min(self.worst, margin)
+        if margin < -self.tol:
+            self.violations += 1
+            if self.first is None:
+                self.first = case
+        self.checked += 1
+
+    def fields(self, seed: int, **extra) -> dict:
+        fields = dict(seed=seed, checked=self.checked, violations=self.violations,
+                      worst_rel_margin=self.worst, **extra)
+        if self.first is not None:
+            fields.update(self.first)
+        return fields
+
+
 # --- 1. finite maximal inequality: domination and sharpness -----------------
 
 
-def criterion_pisier(seed: int, p_max: float) -> Record:
+def criterion_pisier(seed: int, p_max: float = 200.0, *, count: int = 200,
+                     members: tuple = (2, 33), atoms: int = 48, family=None,
+                     tol: float = 1e-10) -> Record:
     rng = make_rng(seed)
     ps = [1.5, 2.0, 4.0, 8.0]
-    violations = 0
-    worst = math.inf
-    checked = 0
-    for _ in range(200):
-        fam = random_nonneg_family(rng, int(rng.integers(2, 33)), 48)
+    margins = _Margins(tol)
+    for idx, fam in _families(rng, count, members, atoms, family):
         for p in ps:
             r = pisier_bound(fam, p)
-            margin = (r.bound - r.exact) / max(r.exact, 1e-300)
-            worst = min(worst, margin)
-            violations += margin < -1e-10
-            checked += 1
+            margins.add(r.bound, r.exact, family_index=idx, p=p)
     eq = max(abs(pisier_bound(disjoint_indicator_family(m), p).bound
                  / pisier_bound(disjoint_indicator_family(m), p).exact - 1.0)
              for m in [4, 16, 32] for p in ps)
-    ok = violations == 0 and eq <= 1e-10
+    ok = margins.violations == 0 and eq <= 1e-10
     return Record("pisier_domination_and_sharpness", ok,
-                  fields=dict(seed=seed, checked=checked, violations=violations,
-                              worst_rel_margin=worst, equality_gap=eq))
+                  fields=margins.fields(seed, equality_gap=eq))
 
 
 # --- 2. product-space version with the fundamental function -----------------
 
 
-def criterion_generalized_pisier(seed: int, p_max: float) -> Record:
+def criterion_generalized_pisier(seed: int, p_max: float = 200.0, *, count: int = 200,
+                                 members: tuple = (2, 33), atoms: int = 48, family=None,
+                                 pairs=None, grid_lo: float = 1.05, grid_n: int = 64,
+                                 tol: float = 1e-8) -> Record:
+    """``pairs`` of (psi, nu) default to (1, 1), (p, p/(p-1)) and (natural, p)."""
     rng = make_rng(seed)
-    grid = _grid(p_max)
-    violations = 0
-    worst = math.inf
-    checked = 0
-    for i in range(200):
-        fam = random_nonneg_family(rng, int(rng.integers(2, 33)), 48)
-        pairs = [
-            (constant(), constant()),
-            (power(1.0), doob_factor()),
-            (natural_psi(fam, grid), power(1.0)),
-        ]
-        for psi, nu in pairs:
+    grid = _grid(p_max, grid_n, grid_lo)
+    margins = _Margins(tol)
+    for idx, fam in _families(rng, count, members, atoms, family):
+        for psi, nu in pairs or [(constant(), constant()), (power(1.0), doob_factor()),
+                                 (NATURAL, power(1.0))]:
+            psi, nu = _resolve(psi, fam, grid), _resolve(nu, fam, grid)
             r = generalized_pisier_bound(fam, psi, nu, grid)
-            margin = (r.bound - r.exact) / max(r.exact, 1e-300)
-            worst = min(worst, margin)
-            violations += margin < -1e-8
-            checked += 1
-    return Record("generalized_pisier_domination", violations == 0,
-                  fields=dict(seed=seed, checked=checked, violations=violations,
-                              worst_rel_margin=worst))
+            margins.add(r.bound, r.exact, family_index=idx, psi=psi.label, nu=nu.label)
+    return Record("generalized_pisier_domination", margins.violations == 0,
+                  fields=margins.fields(seed))
 
 
 # --- 3. chaining bound in the grand Lebesgue scale --------------------------
 
 
-def criterion_chained_bound(seed: int, p_max: float) -> Record:
+def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
+                            members: tuple = (4, 17), atoms: int = 32, family=None,
+                            psi=NATURAL, nus=None, thetas=(0.3, 0.5, 0.7), k_max: int = 32,
+                            grid_lo: float = 1.05, grid_n: int = 64,
+                            tol: float = 1e-8) -> Record:
+    """``nus`` default to (1, p)."""
     rng = make_rng(seed)
-    grid = _grid(p_max)
-    thetas = [0.3, 0.5, 0.7]
-    violations = 0
-    worst = math.inf
-    checked = 0
-    for i in range(50):
-        fam = random_nonneg_family(rng, int(rng.integers(4, 17)), 32)
-        psi0 = natural_psi(fam, grid)
+    grid = _grid(p_max, grid_n, grid_lo)
+    margins = _Margins(tol)
+    for idx, fam in _families(rng, count, members, atoms, family):
+        psi0 = _resolve(psi, fam, grid)
         metric = family_semimetric(fam, psi=psi0, grid=grid)
-        for nu in [constant(), power(1.0)]:
+        for nu in nus or [constant(), power(1.0)]:
+            nu = _resolve(nu, fam, grid)
             for theta in thetas:
-                rep = chained_product_bound(fam, psi0, nu, grid, theta, metric=metric)
-                margin = ((rep.bound_value - rep.exact_sup_norm)
-                          / max(rep.exact_sup_norm, 1e-300))
-                worst = min(worst, margin)
-                violations += margin < -1e-8
-                checked += 1
-    return Record("chained_product_bound_domination", violations == 0,
-                  fields=dict(seed=seed, checked=checked, violations=violations,
-                              worst_rel_margin=worst))
+                rep = chained_product_bound(fam, psi0, nu, grid, theta, k_max=k_max,
+                                            metric=metric)
+                margins.add(rep.bound_value, rep.exact_sup_norm,
+                            family_index=idx, theta=theta, nu=nu.label)
+    return Record("chained_product_bound_domination", margins.violations == 0,
+                  fields=margins.fields(seed))
 
 
 # --- 4. fundamental function against a measure-space indicator --------------
 
 
-def criterion_indicator(seed: int, p_max: float) -> Record:
-    space = DiscreteMeasureSpace(np.full(256, 1.0 / 16.0))  # dyadic masses exact
-    grid = _grid(p_max)
-    psis = [constant(), power(0.5), power(2.0), doob_factor()]
-    deltas = [0.25, 0.5, 1.0, 2.0, 4.0]
+def criterion_indicator(seed: int, p_max: float = 200.0, *, atoms: int = 256,
+                        atom_mass: float = 1.0 / 16.0, psis=None,
+                        deltas=(0.25, 0.5, 1.0, 2.0, 4.0), grid_lo: float = 1.05,
+                        grid_n: int = 64) -> Record:
+    """``psis`` default to 1, p^0.5, p^2 and p/(p-1); dyadic masses are exact."""
+    space = DiscreteMeasureSpace(np.full(atoms, atom_mass))
+    grid = _grid(p_max, grid_n, grid_lo)
+    psis = psis or [constant(), power(0.5), power(2.0), doob_factor()]
     worst = 0.0
     ok = True
     for delta in deltas:
@@ -155,7 +193,7 @@ def criterion_indicator(seed: int, p_max: float) -> Record:
 # --- 5. monotone norm convergence --------------------------------------------
 
 
-def criterion_fatou(seed: int, p_max: float) -> Record:
+def criterion_fatou(seed: int, p_max: float = 200.0) -> Record:
     n = 1000
     space = DiscreteMeasureSpace(np.full(n, 1.0 / n))
     full = SimpleFunction(space, 2.0 ** -(np.arange(n) / 40.0))
@@ -194,7 +232,7 @@ def _brute_force_cover(metric: SemiMetric, eps: float) -> int:
     return m
 
 
-def criterion_covering_oracle(seed: int, p_max: float) -> Record:
+def criterion_covering_oracle(seed: int, p_max: float = 200.0) -> Record:
     rng = make_rng(seed)
     mismatches = 0
     for i in range(200):
@@ -210,7 +248,7 @@ def criterion_covering_oracle(seed: int, p_max: float) -> Record:
 # --- 7. entropy dimension of fine grids --------------------------------------
 
 
-def criterion_dimension(seed: int, p_max: float) -> Record:
+def criterion_dimension(seed: int, p_max: float = 200.0) -> Record:
     # periodic lattices: the wraparound metric removes the boundary bias of
     # the centered-ball estimator, and dyadic alignment keeps the mid-range
     # covering numbers on the exact 2^k / 4^k ladder
@@ -226,7 +264,7 @@ def criterion_dimension(seed: int, p_max: float) -> Record:
 # --- 8. the elementary series bounds -----------------------------------------
 
 
-def criterion_series(seed: int, p_max: float) -> Record:
+def criterion_series(seed: int, p_max: float = 200.0) -> Record:
     qs = [0.5, 0.7, 0.9, 0.99]
     closed_ok = True
     worst_closed = 0.0
@@ -258,13 +296,14 @@ def criterion_series(seed: int, p_max: float) -> Record:
 # --- 9. the Doob maximal inequality, exactly ---------------------------------
 
 
-def criterion_doob(seed: int, p_max: float) -> Record:
+def criterion_doob(seed: int, p_max: float = 200.0, *, horizons=(10, 14),
+                   ps=(1.25, 2.0, 4.0)) -> Record:
     worst_slack = math.inf
     ok = True
     checked = 0
-    for horizon in [10, 14]:
+    for horizon in horizons:
         ens = build_walk_ensemble(horizon)
-        for p in [1.25, 2.0, 4.0]:
+        for p in ps:
             cap = p / (p - 1.0)
             for n in range(1, horizon + 1):
                 rep = doob_check(ens, p, n)
@@ -278,14 +317,15 @@ def criterion_doob(seed: int, p_max: float) -> Record:
 # --- 10. the dyadic-block proof chain ----------------------------------------
 
 
-def criterion_block_chain(seed: int, p_max: float) -> Record:
-    ens = build_walk_ensemble(14)
+def criterion_block_chain(seed: int, p_max: float = 200.0, *, horizon: int = 14,
+                          tol: float = 1e-9) -> Record:
     grid = PGrid.log_spaced(1.1, min(50.0, p_max), 48)
+    ens = build_walk_ensemble(horizon)
     ok = True
     ratios = []
     for v in [norming_identity(), norming_log_loglog(1.0)]:
         rep = martingale_block_check(ens, constant(), v, grid)
-        ok = ok and rep.all_blocks_pass and rep.ratio <= 1.0 + 1e-9
+        ok = ok and rep.all_blocks_pass and rep.ratio <= 1.0 + tol
         ok = ok and rep.condition.summable
         ratios.append(rep.ratio)
     log_flagged = not summability_check(norming_log()).summable
@@ -297,22 +337,23 @@ def criterion_block_chain(seed: int, p_max: float) -> Record:
 # --- 11. the Fourier maximal operator saturates ------------------------------
 
 
-def criterion_fourier(seed: int, p_max: float) -> Record:
+def criterion_fourier(seed: int, p_max: float = 200.0, *, m_list=(16, 32, 64, 128),
+                      samples: int = 5, degree_max: int = 12,
+                      grid_points: int = 1024) -> Record:
     rng = make_rng(seed)
-    grid = PGrid.log_spaced(1.1, 32.0, 24)
-    m_list = [16, 32, 64, 128]
-    samples = [square_wave_sample(1024)]
-    for _ in range(5):
-        a, b = random_trig_coeffs(rng, int(rng.integers(3, 13)))
-        samples.append(trig_poly_sample(a, b, 1024))
+    grid = PGrid.log_spaced(1.1, min(32.0, p_max), 24)
+    cases = [square_wave_sample(grid_points)]
+    for _ in range(samples):
+        a, b = random_trig_coeffs(rng, int(rng.integers(3, degree_max + 1)))
+        cases.append(trig_poly_sample(a, b, grid_points))
     ok = True
     worst_ratio = 0.0
-    for s in samples:
-        rep = maximal_ratio_check(s, constant(), grid, m_list)
+    for s in cases:
+        rep = maximal_ratio_check(s, constant(), grid, list(m_list))
         ok = ok and rep.saturation_ok
         worst_ratio = max(worst_ratio, rep.norm_ratio)
     return Record("fourier_maximal_saturation", ok,
-                  fields=dict(seed=seed, samples=len(samples),
+                  fields=dict(seed=seed, samples=len(cases),
                               worst_norm_ratio=worst_ratio))
 
 
@@ -330,10 +371,39 @@ CRITERIA = [
     criterion_fourier,
 ]
 
+NAMES = tuple(fn.__name__.removeprefix("criterion_") for fn in CRITERIA)
+
+# CLI verb -> the criteria it runs; the series bounds run only in the suite
+VERBS = {
+    "norm": ("indicator", "fatou"),
+    "entropy": ("covering_oracle", "dimension"),
+    "chain": ("pisier", "generalized_pisier", "chained_bound"),
+    "martingale": ("doob", "block_chain"),
+    "fourier": ("fourier",),
+    "suite": NAMES,
+}
+
+
+def run_criteria(kind: str, seed: int, p_max: float = 200.0, params=None) -> Report:
+    """Run the criteria of one verb at the suite's sub-seeds seed*1000 + index.
+
+    ``params`` maps a criterion name to keyword overrides.  A ValueError (the
+    base of bgl's domain errors) raised inside a check becomes a failed
+    record carrying its sub-seed, so the rest of the run still reports.
+    """
+    params = params or {}
+    report = Report(meta={"kind": kind, "seed": seed, "p_max": p_max})
+    for name in VERBS[kind]:
+        i = NAMES.index(name)
+        sub_seed = seed * 1000 + i
+        try:
+            rec = CRITERIA[i](sub_seed, **{"p_max": p_max, **params.get(name, {})})
+        except ValueError as exc:
+            rec = Record(name, False, fields=dict(seed=sub_seed, error=str(exc)))
+        report.records.append(rec)
+    return report
+
 
 def run_suite(seed: int = 1, p_max: float = 200.0) -> Report:
-    """Run every acceptance criterion; sub-seeds derive deterministically."""
-    report = Report(meta={"kind": "suite", "seed": seed, "p_max": p_max})
-    for i, criterion in enumerate(CRITERIA):
-        report.records.append(criterion(seed * 1000 + i, p_max))
-    return report
+    """Run every acceptance criterion with its default parameters."""
+    return run_criteria("suite", seed, p_max)

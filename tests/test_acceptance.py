@@ -3,14 +3,16 @@
 Each criterion runs at its stated tolerance inside bgl.suite; the tests here
 assert the recorded outcome and print one pass/fail line per criterion.
 Criterion 12 (determinism) renders the suite twice, once through the real
-CLI entry point, and compares bytes.
+CLI entry point, and compares bytes.  The verbs run the suite's criteria at
+the suite's sub-seeds, so each verb's records equal the suite's.
 """
 
 import pytest
 
 from bgl.cli import main as cli_main
-from bgl.report import to_text
-from bgl.suite import run_suite
+from bgl.report import Report, to_text
+from bgl.scenario import default_scenario, run_scenario
+from bgl.suite import NAMES, VERBS, run_suite
 
 SEED = 20240801
 
@@ -81,3 +83,10 @@ def test_criterion_12_suite_determinism(suite_report, tmp_path):
           f"[bytes={len(first)}, identical={first == second}, exit={code}]")
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize("verb", ["norm", "entropy", "martingale", "fourier"])
+def test_verb_records_equal_suite_records(suite_report, verb):
+    records = run_scenario(default_scenario(verb, SEED)).records
+    expected = [suite_report.records[NAMES.index(name)] for name in VERBS[verb]]
+    assert to_text(Report({}, records)) == to_text(Report({}, expected))

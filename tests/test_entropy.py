@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from bgl.entropy import (
     EXACT_COVER_LIMIT,
     SemiMetric,
+    _ball_masks,
+    _greedy_cover,
+    _greedy_cover_dense,
     covering_number,
     covering_profile,
     covering_with_centers,
@@ -122,6 +125,19 @@ class TestCoveringNumber:
             excess += (covering_number(metric, eps, "greedy")
                        > covering_number(metric, eps, "exact"))
         assert excess / 200 <= 0.1
+
+    def test_two_greedy_covers_agree(self):
+        # the integer-mask greedy seeds the exact solver and the dense one
+        # serves greedy mode; both break ties on the lowest index
+        rng = make_rng(202)
+        for _ in range(60):
+            m = int(rng.integers(3, EXACT_COVER_LIMIT + 1))
+            metric = random_plane_metric(rng, m)
+            for frac in (0.05, 0.15, 0.25, 0.35, 0.6):
+                eps = frac * metric.diameter
+                masks = _ball_masks(metric, eps)
+                assert (_greedy_cover(masks, (1 << m) - 1)
+                        == _greedy_cover_dense(metric.d <= eps))
 
     def test_size_error_beyond_exact_limit(self):
         metric = unit_interval_metric(EXACT_COVER_LIMIT + 1)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from bgl.errors import DomainError
 from bgl.fixtures import make_rng, random_nonneg_family
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, load_family, save_family
 from bgl.report import Record, Report, to_table, to_text
-from bgl.scenario import default_scenario, load_scenario, run_scenario
+from bgl.scenario import KINDS, load_scenario, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestColumnarFormat:
@@ -113,30 +117,80 @@ class TestScenarioConfig:
             load_scenario(cfg)
 
     def test_single_theta_matches_direct_call(self, tmp_path):
-        # one family, one theta: the scenario record reproduces a direct call
+        # one family, one theta, one nu: the chained-bound record's margin
+        # reproduces a direct call
         from bgl.chaining import chained_product_bound
         from bgl.norms import natural_psi
         from bgl.psi import PGrid, power
 
         rng = make_rng(53)
         fam = random_nonneg_family(rng, 6, 24)
-        fam_path = tmp_path / "fam.tsv"
-        save_family(fam_path, fam)
+        save_family(tmp_path / "fam.tsv", fam)
         cfg = tmp_path / "chain.cfg"
         cfg.write_text(
             "[scenario]\nkind = chain\nseed = 53\n"
-            f"[family]\ngenerator = file\npath = {fam_path}\n"
+            "[family]\ngenerator = file\npath = fam.tsv\n"
+            "[nu]\nname = power\nbeta = 1.0\n"
             "[chain]\ntheta = 0.5\n"
             "[grid]\nlo = 1.05\nn = 32\np_max = 60\n"
         )
         report = run_scenario(load_scenario(cfg))
-        rec = next(r for r in report.records if r.name == "chain_representative_levels")
+        rec = next(r for r in report.records if r.name == "chained_product_bound_domination")
         grid = PGrid.log_spaced(1.05, 60.0, 32, p_max_cap=60.0)
-        loaded = load_family(fam_path)
+        loaded = load_family(tmp_path / "fam.tsv")
         direct = chained_product_bound(loaded, natural_psi(loaded, grid),
                                        power(1.0), grid, 0.5)
-        assert rec.fields["bound"] == pytest.approx(direct.bound_value, rel=1e-12)
-        assert rec.fields["exact"] == pytest.approx(direct.exact_sup_norm, rel=1e-12)
+        margin = (direct.bound_value - direct.exact_sup_norm) / direct.exact_sup_norm
+        assert rec.fields["checked"] == 1
+        assert rec.fields["worst_rel_margin"] == pytest.approx(margin, rel=1e-12)
+
+    def test_failing_record_names_first_violation(self, monkeypatch):
+        import dataclasses
+
+        from bgl import suite
+
+        real = suite.chained_product_bound
+        monkeypatch.setattr(suite, "chained_product_bound", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), bound_value=0.0))
+        rec = suite.criterion_chained_bound(5, count=2, members=(4, 5), atoms=16,
+                                            thetas=(0.5,))
+        assert not rec.passed and rec.fields["violations"] == 4
+        assert (rec.fields["family_index"], rec.fields["theta"], rec.fields["nu"]) \
+            == (0, 0.5, "const[1]")
+
+    def test_family_path_relative_to_config(self, tmp_path, monkeypatch):
+        rng = make_rng(54)
+        fam = random_nonneg_family(rng, 3, 8)
+        (tmp_path / "cfg").mkdir()
+        save_family(tmp_path / "cfg" / "fam.tsv", fam)
+        cfg = tmp_path / "cfg" / "chain.cfg"
+        cfg.write_text("[scenario]\nkind = chain\n"
+                       "[family]\ngenerator = file\npath = fam.tsv\n")
+        monkeypatch.chdir(tmp_path)
+        loaded = load_scenario(cfg).params["chained_bound"]["family"]
+        assert np.array_equal(loaded.values_matrix(), fam.values_matrix())
+
+    @pytest.mark.parametrize("section", [
+        "[scenario]\nkind = chain\nseed = x\n",
+        "[scenario]\nkind = chain\n[grid]\nn = abc\n",
+        "[scenario]\nkind = chain\n[psi]\nname = bogus\n",
+        "[scenario]\nkind = chain\n[family]\ngenerator = bogus\n",
+        "[scenario]\nkind = chain\n[grid]\np_max = nan\n",
+        "[scenario]\nkind = chain\n[chain]\ntheta =\n",
+    ], ids=["bad_seed", "bad_grid_n", "unknown_psi", "unknown_generator", "nan_p_max",
+            "empty_theta"])
+    def test_bad_value_rejected_at_load(self, tmp_path, capsys, section):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(section)
+        with pytest.raises(DomainError):
+            load_scenario(cfg)
+        assert cli_main(["chain", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_passes(self, path, tmp_path):
+        kind = load_scenario(path).kind
+        assert cli_main([kind, "--config", str(path), "--out", str(tmp_path / "r.txt")]) == 0
 
     def test_suite_has_one_record_per_criterion(self):
         from bgl.suite import CRITERIA, run_suite
@@ -180,6 +234,20 @@ class TestCli:
         cli_main(["fourier", "--seed", "1", "--out", str(a)])
         cli_main(["fourier", "--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("verb", ["martingale", "fourier"])
+    def test_p_max_caps_every_grid(self, verb, tmp_path):
+        # no valid p-grid lies below 1.1, so the capped grid fails its check
+        out = tmp_path / "report.txt"
+        assert cli_main([verb, "--p-max", "0.5", "--out", str(out)]) == 1
+        assert "summary.verdict = FAIL" in out.read_text()
+
+    @pytest.mark.parametrize("flag", [("--tol", "-1"), ("--p-max", "nan")],
+                             ids=["negative_tol", "nan_p_max"])
+    @pytest.mark.parametrize("verb", KINDS)
+    def test_bad_flag_rejected(self, verb, flag, capsys):
+        assert cli_main([verb, *flag]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_table_format(self, capsys):
         code = cli_main(["martingale", "--format", "table"])

@@ -29,7 +29,6 @@ class TestEnsemble:
     def test_sigma_sqrt_n(self):
         ens = build_walk_ensemble(4)
         assert np.allclose(ens.sigma, np.sqrt(np.arange(1, 5)), rtol=1e-12)
-        assert ens.gamma == 0.5 and ens.c2 == 1.0
 
     def test_three_point_increments_enumerated(self):
         ens = build_walk_ensemble(8, increments=[-1.0, 0.0, 1.0])
