@@ -94,8 +94,9 @@ def pisier_bound(family: FunctionFamily, p: float) -> PisierResult:
     """max_j |Y_j|_p * m^{1/p} against the exact norm of the pointwise max."""
     if p < 1:
         raise DomainError("p must be >= 1")
-    member_norms = [lp_norm(f, p) for f in family.members]
-    mx = max(member_norms)
+    member_norms = lp_norm_matrix(family.values_matrix(), family.space.weights,
+                                  np.array([p], dtype=float))
+    mx = float(member_norms.max())
     bound = mx * family.m ** (1.0 / p)
     return PisierResult(
         bound=bound,
@@ -130,7 +131,7 @@ def generalized_pisier_bound(family: FunctionFamily, psi: PsiFunction,
     zeta = product_psi(psi, nu)
     exact_res = bgl_norm(abs_sup(family), zeta, grid)
     extra = [exact_res.p_star]
-    # grid-plus-p_star evaluation suffices for domination; member-level golden
+    # grid-plus-p_star evaluation suffices for domination; member-level
     # refinement would only enlarge the bound at m times the cost
     member = _max_member_norm(family, psi, grid, extra)
     phi = fundamental_function(nu, float(family.m), grid, extra_points=extra)

@@ -76,6 +76,8 @@ class SimpleFunction:
             raise DomainError(
                 f"values length {v.shape} does not match atom count {self.space.n_atoms}"
             )
+        if not np.all(np.isfinite(v)):
+            raise DomainError("function values must be finite (no NaN or inf)")
 
     def expectation(self) -> float:
         return self.space.integrate(self.values)

@@ -1,11 +1,11 @@
 """L_p and grand Lebesgue norms on weighted-atom spaces.
 
 The grand Lebesgue norm sup_p |f|_p / psi(p) over an open interval is
-discretized as a grid maximum followed by a golden-section refinement pass
+discretized as a grid maximum followed by a batched rescan of the bracket
 around the grid argmax; the refined point is carried in the result so that
 bound/exact comparisons can evaluate both sides at the same p.  L_p norms
-are computed with max-factoring in log space so that exponents up to the
-default cap p = 200 stay in range.
+factor out max|f| first, so every power is of a ratio in [0, 1] and
+exponents up to the default cap p = 200 (and beyond) stay in range.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ConstructionError,
@@ -60,8 +59,10 @@ def lp_norm_matrix(values: np.ndarray, weights: np.ndarray, ps: np.ndarray) -> n
     """L_p norms of many functions at many exponents in one pass.
 
     ``values`` is (n_functions, n_atoms); the result is (n_functions, n_p).
-    The whole (n_functions, n_p, n_atoms) log tensor is materialized, so
-    callers batching very large families should chunk.
+    After max-factoring every ratio lies in [0, 1] and the max atom adds its
+    full weight, so the weighted sum of powers neither overflows nor
+    underflows to zero.  The whole (n_functions, n_p, n_atoms) power tensor
+    is materialized, so callers batching very large families should chunk.
     """
     av = np.abs(np.asarray(values, dtype=float))
     m = av.max(axis=1)
@@ -69,13 +70,9 @@ def lp_norm_matrix(values: np.ndarray, weights: np.ndarray, ps: np.ndarray) -> n
     live = m > 0.0
     if not np.any(live):
         return out
-    with np.errstate(divide="ignore"):
-        # zero values and underflowing ratios map to log -> -inf, which
-        # logsumexp treats as absent atoms
-        logs = np.log(av[live] / m[live, None])
-        logw = np.log(np.asarray(weights, dtype=float))
-    lse = logsumexp(logw[None, None, :] + ps[None, :, None] * logs[:, None, :], axis=2)
-    out[live] = m[live, None] * np.exp(lse / ps[None, :])
+    ratios = av[live] / m[live, None]
+    sums = np.power(ratios[:, None, :], ps[None, :, None]) @ np.asarray(weights, dtype=float)
+    out[live] = m[live, None] * sums ** (1.0 / ps[None, :])
     return out
 
 
@@ -88,24 +85,6 @@ class NormResult:
 
     def __float__(self):
         return self.value
-
-
-def _golden_max(fn, lo: float, hi: float, xtol: float = 1e-6):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
 
 
 def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid,
@@ -125,13 +104,17 @@ def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid,
     j = int(np.argmax(ratios))
     best_p, best_v = float(pts[j]), float(ratios[j])
     if refine and ratios.size >= 2:
+        # rescan the bracket around the argmax, 33 points per kernel call,
+        # narrowing to the neighbours of each round's argmax until 1e-6 wide
         lo = float(pts[max(j - 1, 0)])
         hi = float(pts[min(j + 1, pts.size - 1)])
-        if hi > lo:
-            g = lambda p: float(lp_norm(f, p) / psi(p))
-            x, v = _golden_max(g, lo, hi)
-            if v > best_v:
-                best_p, best_v = x, v
+        while hi - lo > 1e-6:
+            xs = np.linspace(lo, hi, 33)
+            vals = lp_norm(f, xs) / psi.eval(xs)
+            k = int(np.argmax(vals))
+            if vals[k] > best_v:
+                best_p, best_v = float(xs[k]), float(vals[k])
+            lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, xs.size - 1)])
     return NormResult(best_v, best_p)
 
 

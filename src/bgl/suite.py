@@ -92,9 +92,16 @@ class _Margins:
                 self.first = case
         self.checked += 1
 
+    @property
+    def passed(self) -> bool:
+        """No violation, and at least one case checked: an empty run proves nothing."""
+        return self.checked > 0 and self.violations == 0
+
     def fields(self, seed: int, **extra) -> dict:
         fields = dict(seed=seed, checked=self.checked, violations=self.violations,
                       worst_rel_margin=self.worst, **extra)
+        if self.checked == 0:
+            fields["reason"] = "no case was checked"
         if self.first is not None:
             fields.update(self.first)
         return fields
@@ -116,7 +123,7 @@ def criterion_pisier(seed: int, p_max: float = 200.0, *, count: int = 200,
     eq = max(abs(pisier_bound(disjoint_indicator_family(m), p).bound
                  / pisier_bound(disjoint_indicator_family(m), p).exact - 1.0)
              for m in [4, 16, 32] for p in ps)
-    ok = margins.violations == 0 and eq <= 1e-10
+    ok = margins.passed and eq <= 1e-10
     return Record("pisier_domination_and_sharpness", ok,
                   fields=margins.fields(seed, equality_gap=eq))
 
@@ -138,7 +145,7 @@ def criterion_generalized_pisier(seed: int, p_max: float = 200.0, *, count: int 
             psi, nu = _resolve(psi, fam, grid), _resolve(nu, fam, grid)
             r = generalized_pisier_bound(fam, psi, nu, grid)
             margins.add(r.bound, r.exact, family_index=idx, psi=psi.label, nu=nu.label)
-    return Record("generalized_pisier_domination", margins.violations == 0,
+    return Record("generalized_pisier_domination", margins.passed,
                   fields=margins.fields(seed))
 
 
@@ -164,7 +171,7 @@ def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
                                             metric=metric)
                 margins.add(rep.bound_value, rep.exact_sup_norm,
                             family_index=idx, theta=theta, nu=nu.label)
-    return Record("chained_product_bound_domination", margins.violations == 0,
+    return Record("chained_product_bound_domination", margins.passed,
                   fields=margins.fields(seed))
 
 

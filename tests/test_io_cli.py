@@ -36,6 +36,13 @@ class TestColumnarFormat:
         with pytest.raises(DomainError):
             load_family(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"# atom_id weight a b\n0 1.0 2.0 {bad}\n1 1.0 1.0 3.0\n")
+        with pytest.raises(DomainError):
+            load_family(path)
+
 
 class TestReportFormats:
     def make_report(self):
@@ -248,6 +255,25 @@ class TestCli:
     def test_bad_flag_rejected(self, verb, flag, capsys):
         assert cli_main([verb, *flag]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_family_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "fam.tsv").write_text("# atom_id weight a b\n0 1.0 nan 1.0\n1 1.0 2.0 3.0\n")
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("[scenario]\nkind = chain\n"
+                       "[family]\ngenerator = file\npath = fam.tsv\n")
+        assert cli_main(["chain", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nothing_checked_fails(self, tmp_path, capsys):
+        # count = 0 leaves the domination criteria no family: no vacuous pass
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("[scenario]\nkind = chain\n[family]\ncount = 0\n")
+        out = tmp_path / "report.txt"
+        assert cli_main(["chain", "--config", str(cfg), "--out", str(out)]) == 1
+        text = out.read_text()
+        assert text.count("pass = false") == 3
+        assert text.count("reason = no case was checked") == 3
 
     def test_table_format(self, capsys):
         code = cli_main(["martingale", "--format", "table"])

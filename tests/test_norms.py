@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from bgl.norms import (
     fundamental_function,
     indicator_norm_check,
     lp_norm,
+    lp_norm_matrix,
     mri_norm,
     natural_psi,
 )
@@ -55,12 +57,59 @@ class TestLpNorm:
         with pytest.raises(DomainError):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # the kernel's live-row mask would read a NaN row as a zero norm
+        with pytest.raises(DomainError):
+            SimpleFunction(unit_space(4), np.array([bad, 1.0, 2.0, 3.0]))
+
     def test_vectorized_matches_scalar(self):
         rng = make_rng(2)
         f = SimpleFunction(unit_space(12), rng.uniform(0, 3, 12))
         ps = np.array([1.5, 2.0, 11.0])
         vec = lp_norm(f, ps)
         assert np.allclose(vec, [lp_norm(f, p) for p in ps], rtol=1e-14)
+
+
+def _mp_lp(row, weights, p):
+    """(sum_i w_i |v_i|^p)^(1/p) in mpmath at the caller's precision."""
+    total = mpmath.fsum(mpmath.mpf(float(w)) * abs(mpmath.mpf(float(v))) ** p
+                        for v, w in zip(row, weights))
+    return total ** (1 / p) if total else mpmath.mpf(0)
+
+
+class TestKernelOracle:
+    PS = [1.0, 1.5, 2.0, 3.7, 10.0, 50.0, 120.0, 200.0]
+
+    def check(self, values, weights):
+        got = lp_norm_matrix(values, weights, np.array(self.PS))
+        with mpmath.workdps(60):
+            for i, row in enumerate(values):
+                for j, p in enumerate(self.PS):
+                    exact = _mp_lp(row, weights, mpmath.mpf(p))
+                    if exact == 0:
+                        assert got[i, j] == 0.0
+                    else:
+                        err = abs(mpmath.mpf(float(got[i, j])) - exact) / exact
+                        assert err <= 1e-13, (i, p, float(err))
+
+    def test_rows_spanning_the_float_range(self):
+        rng = make_rng(11)
+        n = 32
+        signs = rng.choice([-1.0, 1.0], size=n)
+        values = np.array([
+            rng.uniform(0.0, 1.0, n),
+            signs * 10.0 ** rng.uniform(-300.0, 300.0, n),
+            signs * np.geomspace(1e-300, 1e300, n),
+            10.0 ** rng.uniform(-300.0, -250.0, n),
+            10.0 ** rng.uniform(250.0, 300.0, n),
+            np.zeros(n),
+            np.where(np.arange(n) == 5, -7.0e-200, 0.0),
+        ])
+        self.check(values, rng.uniform(0.1, 2.0, n))
+
+    def test_single_atom_space(self):
+        self.check(np.array([[2.5], [-1e-300], [1e300], [0.0]]), np.array([0.375]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,6 +185,68 @@ class TestBglNorm:
         grid = PGrid.log_spaced(1.01, 1.99, 64)
         res = bgl_norm(f, psi, grid)
         assert res.p_star >= grid.points[-2]  # |f|_p grows toward p = 2
+
+
+class TestRefinement:
+    @staticmethod
+    def dense_bracket_max(f, psi, grid, p_star):
+        j = int(np.searchsorted(grid.points, p_star))
+        if not 0 < j < grid.points.size - 1:
+            return None
+        xs = np.linspace(grid.points[j - 1], grid.points[j + 1], 20001)
+        return float(np.max(lp_norm(f, xs) / psi.eval(xs)))
+
+    def test_smooth_ratio_matches_dense_scan(self):
+        # |f|_p / p^beta peaks inside the grid for small beta
+        grid = PGrid.log_spaced(1.05, 200, 64)
+        interior = 0
+        for seed in range(4):
+            fam = random_nonneg_family(make_rng(40 + seed), 4, 48)
+            for beta in (0.05, 0.1, 0.2):
+                psi = power(beta)
+                for f in fam.members[:2]:
+                    coarse = bgl_norm(f, psi, grid, refine=False)
+                    res = bgl_norm(f, psi, grid)
+                    assert res.value >= coarse.value
+                    dense = self.dense_bracket_max(f, psi, grid, coarse.p_star)
+                    if dense is not None:
+                        interior += 1
+                        assert res.value == pytest.approx(dense, rel=1e-12)
+        assert interior >= 15
+
+    def test_kinked_ratio_never_below_dense_scan(self):
+        # natural psi is a max of member moments: the ratio has corners,
+        # where a 20,001-point scan undershoots the finer final rescan
+        grid = PGrid.log_spaced(1.05, 200, 64)
+        interior = 0
+        for seed in range(6):
+            fam = random_nonneg_family(make_rng(40 + seed), 4, 48)
+            psi0 = natural_psi(fam, grid)
+            for f in fam.members:
+                coarse = bgl_norm(f, psi0, grid, refine=False)
+                res = bgl_norm(f, psi0, grid)
+                assert res.value >= coarse.value
+                dense = self.dense_bracket_max(f, psi0, grid, coarse.p_star)
+                if dense is not None:
+                    interior += 1
+                    assert res.value >= dense * (1.0 - 1e-12)
+        assert interior >= 3
+
+    def test_two_peaks_in_one_bracket_returns_higher(self):
+        # |f|_p = 1, so the ratio is 1/psi: dips at p = 2.3 and (deeper) 2.75
+        # share the bracket [2, 3] around the grid argmax 2.5; a unimodal
+        # search from the golden-section points would settle on 2.3
+        f = SimpleFunction(unit_space(6), np.ones(6))
+        psi = from_formula(lambda p: 2.0 - 0.3 * np.exp(-(p - 2.5) ** 2)
+                           - 0.2 * np.exp(-((p - 2.3) / 0.1) ** 2)
+                           - 0.4 * np.exp(-((p - 2.75) / 0.1) ** 2), 1.0, 5.0)
+        grid = PGrid(np.array([1.5, 2.0, 2.5, 3.0, 3.5]))
+        assert bgl_norm(f, psi, grid, refine=False).p_star == 2.5
+        res = bgl_norm(f, psi, grid)
+        xs = np.linspace(2.0, 3.0, 20001)
+        k = int(np.argmax(1.0 / psi.eval(xs)))
+        assert res.p_star == pytest.approx(xs[k], abs=1e-3)
+        assert res.value == pytest.approx(1.0 / psi.eval(xs[k]), rel=1e-9)
 
 
 class TestFundamentalFunction:
