@@ -6,6 +6,10 @@ branch and bound (greedy upper bound, packing lower bound) and is guaranteed
 optimal; it is capped at m <= 24 points so the worst case stays fast.  The
 greedy mode is deterministic (ties break on the lowest index), never smaller
 than the optimum, and within a factor 1 + ln m of it.
+
+Both solvers read ball j as row j of the ball matrix and take the balls
+holding point j to be the centers in ball j.  That relies on `SemiMetric`
+rejecting any distance matrix that is not exactly symmetric.
 """
 
 from __future__ import annotations
@@ -151,19 +155,20 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
 
 def _ball_masks(metric: SemiMetric, eps: float) -> list[int]:
     within = metric.d <= eps
-    bits = np.packbits(within, axis=0, bitorder="little")
-    return [int.from_bytes(bits[:, j].tobytes(), "little") for j in range(metric.size)]
+    bits = np.packbits(within, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 
 def _greedy_cover(masks: list[int], full: int) -> tuple[int, list[int]]:
     """Greedy on integer ball masks; seeds the exact solver's upper bound.
 
     It returns the same (count, centers) as `_greedy_cover_dense` (tested),
-    but on the masks the exact solver already holds it is about 6x cheaper:
-    median 19 us against 116 us, next to a median exact cover of 0.92 ms
-    (900 plane metrics with m = 20..24 at radii 0.15..0.35 of the diameter,
-    Python 3.11 on a 2-core x86 VM).  Seeding from the dense greedy would
-    slow the exact solver, so both stay.
+    but on the masks the exact solver already holds it is about 4x cheaper:
+    median 17-22 us against 75-78 us, next to a median exact cover of
+    0.11-0.17 ms (900 plane metrics with m = 20..24 at radii 0.15, 0.25 and
+    0.35 of the diameter, best of 5 calls each, Python 3.11 on a 2-core x86
+    VM).  Seeding from the dense greedy would make the exact cover about
+    1.4x slower, so both stay.
     """
     covered = 0
     centers = []
@@ -182,41 +187,51 @@ def _greedy_cover(masks: list[int], full: int) -> tuple[int, list[int]]:
 
 def _greedy_cover_dense(within: np.ndarray) -> tuple[int, list[int]]:
     """Incremental greedy on the boolean ball matrix; O(m^2) per level total.
-    Ties break on the lowest index (np.argmax picks the first maximum)."""
-    m = within.shape[0]
-    uncovered = np.ones(m, dtype=bool)
-    gains = within.sum(axis=0).astype(np.int64)
+    Ball j is read as the row within[j] (symmetry).  Ties break on the lowest
+    index (np.argmax picks the first maximum)."""
+    uncovered = np.ones(within.shape[0], dtype=bool)
+    left = within.shape[0]
+    gains = within.sum(axis=1)
     centers = []
-    while uncovered.any():
+    while left:
         j = int(np.argmax(gains))
         if gains[j] <= 0:
             raise DomainError("greedy cover stalled; balls do not cover the set")
-        newly = within[:, j] & uncovered
+        if gains[j] == 1:
+            # no ball holds two uncovered points, so the rest of the greedy
+            # takes the lowest ball holding each one, in increasing order
+            centers += sorted(np.argmax(within, axis=1)[uncovered].tolist())
+            break
+        newly = np.flatnonzero(within[j] & uncovered)
         centers.append(j)
-        uncovered &= ~within[:, j]
-        gains -= within[newly].sum(axis=0)
+        left -= newly.size
+        if left:
+            uncovered[newly] = False
+            gains -= within[newly].sum(axis=0)
     return len(centers), centers
 
 
-def _packing_lower_bound(masks: list[int], uncovered: int, m: int) -> int:
+def _ball_tables(masks: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Per point i: the centers of the balls holding i, lowest first, and the
+    points sharing a ball with i.  Ball i holds j exactly when ball j holds i
+    (symmetry), so the centers are the bits of masks[i]."""
+    opts_of = [[j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"] for mask in masks]
+    blocked = []
+    for opts in opts_of:
+        union = 0
+        for j in opts:
+            union |= masks[j]
+        blocked.append(union)
+    return opts_of, blocked
+
+
+def _packing_lower_bound(blocked: list[int], uncovered: int) -> int:
     """Greedy packing of points no ball covers in pairs: each needs its own ball."""
-    covers_of = [0] * m
-    for j, mask in enumerate(masks):
-        for i in range(m):
-            if mask >> i & 1:
-                covers_of[i] |= 1 << j
-    remaining = uncovered
     count = 0
-    while remaining:
-        i = (remaining & -remaining).bit_length() - 1
+    while uncovered:
+        i = (uncovered & -uncovered).bit_length() - 1
         count += 1
-        # drop every point sharing a ball with i
-        blocked = 0
-        for j in range(m):
-            if covers_of[i] >> j & 1:
-                blocked |= masks[j]
-        remaining &= ~blocked
-        remaining &= ~(1 << i)
+        uncovered &= ~blocked[i]
     return count
 
 
@@ -224,6 +239,9 @@ def _exact_cover(masks: list[int], m: int) -> tuple[int, list[int]]:
     full = (1 << m) - 1
     best_size, best_centers = _greedy_cover(masks, full)
     max_ball = max(x.bit_count() for x in masks)
+    opts_of, blocked = _ball_tables(masks)
+    # branch on the uncovered point in the fewest balls, the lowest such index
+    branch_order = sorted(range(m), key=lambda i: len(opts_of[i]))
 
     def dfs(covered: int, chosen: list[int]):
         nonlocal best_size, best_centers
@@ -232,18 +250,11 @@ def _exact_cover(masks: list[int], m: int) -> tuple[int, list[int]]:
                 best_size, best_centers = len(chosen), list(chosen)
             return
         uncovered = full & ~covered
-        n_unc = uncovered.bit_count()
-        lb = max(-(-n_unc // max_ball), _packing_lower_bound(masks, uncovered, m))
+        lb = max(-(-uncovered.bit_count() // max_ball), _packing_lower_bound(blocked, uncovered))
         if len(chosen) + lb >= best_size:
             return
-        # branch on the uncovered point with the fewest available balls
-        best_i, best_opts = -1, None
-        for i in range(m):
-            if uncovered >> i & 1:
-                opts = [j for j, mask in enumerate(masks) if mask >> i & 1]
-                if best_opts is None or len(opts) < len(best_opts):
-                    best_i, best_opts = i, opts
-        opts = sorted(best_opts, key=lambda j: -(masks[j] & uncovered).bit_count())
+        best_i = next(i for i in branch_order if uncovered >> i & 1)
+        opts = sorted(opts_of[best_i], key=lambda j: -(masks[j] & uncovered).bit_count())
         for j in opts:
             chosen.append(j)
             dfs(covered | masks[j], chosen)

@@ -95,15 +95,9 @@ def torus_lattice_metric(j: int) -> SemiMetric:
     metric; the 2-d analogue of circle_lattice_metric (covering numbers
     quadruple per halved radius over the aligned levels)."""
     s = 2 ** j
-    g = (np.arange(s) + 0.5) / s
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    px, py = xx.ravel(), yy.ravel()
-    dx = np.abs(px[:, None] - px[None, :])
-    np.minimum(dx, 1.0 - dx, out=dx)
-    dy = np.abs(py[:, None] - py[None, :])
-    np.minimum(dy, 1.0 - dy, out=dy)
-    d = np.maximum(dx, dy)
-    np.fill_diagonal(d, 0.0)
+    c = circle_lattice_metric(j).d
+    # point (a, b) is row a * s + b; its distance is the larger circle distance
+    d = np.maximum(c[:, None, :, None], c[None, :, None, :]).reshape(s * s, s * s)
     return SemiMetric(d, trusted=True)
 
 

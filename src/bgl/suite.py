@@ -120,9 +120,9 @@ def criterion_pisier(seed: int, p_max: float = 200.0, *, count: int = 200,
         for p in ps:
             r = pisier_bound(fam, p)
             margins.add(r.bound, r.exact, family_index=idx, p=p)
-    eq = max(abs(pisier_bound(disjoint_indicator_family(m), p).bound
-                 / pisier_bound(disjoint_indicator_family(m), p).exact - 1.0)
-             for m in [4, 16, 32] for p in ps)
+    eq = max(abs(r.bound / r.exact - 1.0)
+             for r in (pisier_bound(disjoint_indicator_family(m), p)
+                       for m in [4, 16, 32] for p in ps))
     ok = margins.passed and eq <= 1e-10
     return Record("pisier_domination_and_sharpness", ok,
                   fields=margins.fields(seed, equality_gap=eq))

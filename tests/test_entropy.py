@@ -10,8 +10,10 @@ from bgl.entropy import (
     EXACT_COVER_LIMIT,
     SemiMetric,
     _ball_masks,
+    _ball_tables,
     _greedy_cover,
     _greedy_cover_dense,
+    _packing_lower_bound,
     covering_number,
     covering_profile,
     covering_with_centers,
@@ -20,9 +22,11 @@ from bgl.entropy import (
 )
 from bgl.errors import DomainError, EstimationError, SizeError
 from bgl.fixtures import (
+    circle_lattice_metric,
     make_rng,
     random_nonneg_family,
     random_plane_metric,
+    torus_lattice_metric,
     unit_interval_metric,
     unit_square_metric,
 )
@@ -31,16 +35,21 @@ from bgl.norms import natural_psi
 from bgl.psi import PGrid, constant, power
 
 
-def brute_force_cover(metric, eps):
-    """Exhaustive minimum cover over all center subsets (oracle, m <= 12)."""
+def brute_force_cover(metric, eps, subset=None):
+    """Exhaustive minimum number of eps-balls centered in T that cover the
+    points of the bitmask ``subset`` (default: all of T).  Ball c is read as
+    column c.  The search is exponential in the answer, so callers keep the
+    answer small (m <= 12, or radii of at least 0.15 of the diameter)."""
     m = metric.size
     within = metric.d <= eps
-    for k in range(1, m + 1):
+    balls = [sum(1 << i for i in range(m) if within[i, c]) for c in range(m)]
+    target = (1 << m) - 1 if subset is None else subset
+    for k in range(m + 1):
         for centers in itertools.combinations(range(m), k):
-            covered = np.zeros(m, dtype=bool)
+            covered = 0
             for c in centers:
-                covered |= within[:, c]
-            if covered.all():
+                covered |= balls[c]
+            if covered & target == target:
                 return k
     return m
 
@@ -105,6 +114,37 @@ class TestCoveringNumber:
             eps = float(rng.uniform(0.05, 1.0)) * max(metric.diameter, 0.1)
             assert covering_number(metric, eps) == brute_force_cover(metric, eps)
 
+    def test_exact_matches_brute_force_beyond_twelve(self):
+        # m = 13..16 at radii that keep the optimum small; half the metrics
+        # repeat some of their points, so balls hold zero-distance twins
+        rng = make_rng(103)
+        for trial in range(24):
+            m = int(rng.integers(13, 17))
+            if trial % 2:
+                n_dup = int(rng.integers(1, 6))
+                pts = rng.integers(0, 65, size=(m - n_dup, 2)) / 64
+                pts = np.vstack([pts, pts[rng.integers(0, m - n_dup, size=n_dup)]])
+                metric = SemiMetric.from_points(pts)
+                assert metric.n_distinct() < m
+            else:
+                metric = random_plane_metric(rng, m)
+            eps = float(rng.uniform(0.15, 0.6)) * metric.diameter
+            assert covering_number(metric, eps) == brute_force_cover(metric, eps)
+
+    def test_packing_lower_bound_is_sound(self):
+        # on any uncovered subset the packing bound never exceeds the least
+        # number of balls (centered anywhere in T) that cover that subset
+        rng = make_rng(104)
+        for trial in range(40):
+            m = int(rng.integers(3, 17))
+            metric = random_plane_metric(rng, m, grid_snap=int(rng.choice([4, 64])))
+            eps = float(rng.uniform(0.15, 0.6)) * max(metric.diameter, 0.1)
+            _, blocked = _ball_tables(_ball_masks(metric, eps))
+            for _ in range(10):
+                subset = int(rng.integers(0, 1 << m))
+                assert (_packing_lower_bound(blocked, subset)
+                        <= brute_force_cover(metric, eps, subset))
+
     def test_greedy_never_below_exact(self):
         rng = make_rng(101)
         for trial in range(25):
@@ -138,6 +178,13 @@ class TestCoveringNumber:
                 masks = _ball_masks(metric, eps)
                 assert (_greedy_cover(masks, (1 << m) - 1)
                         == _greedy_cover_dense(metric.d <= eps))
+        # lattices tie at every level, where the lowest-index rule decides
+        metric = circle_lattice_metric(8)
+        for k in range(1, 13):
+            eps = 0.5 ** k
+            masks = _ball_masks(metric, eps)
+            assert (_greedy_cover(masks, (1 << metric.size) - 1)
+                    == _greedy_cover_dense(metric.d <= eps))
 
     def test_size_error_beyond_exact_limit(self):
         metric = unit_interval_metric(EXACT_COVER_LIMIT + 1)
@@ -221,6 +268,24 @@ class TestProfile:
             assert covered.all()
 
 
+class TestLattices:
+    def test_torus_matches_meshgrid_construction(self):
+        # the torus is built from its circle factor; the floats must equal
+        # the per-coordinate meshgrid construction bit for bit
+        for j in range(2, 6):
+            s = 2 ** j
+            g = (np.arange(s) + 0.5) / s
+            xx, yy = np.meshgrid(g, g, indexing="ij")
+            px, py = xx.ravel(), yy.ravel()
+            dx = np.abs(px[:, None] - px[None, :])
+            np.minimum(dx, 1.0 - dx, out=dx)
+            dy = np.abs(py[:, None] - py[None, :])
+            np.minimum(dy, 1.0 - dy, out=dy)
+            d = np.maximum(dx, dy)
+            np.fill_diagonal(d, 0.0)
+            assert np.array_equal(torus_lattice_metric(j).d, d)
+
+
 class TestDimension:
     def test_unit_interval_dimension_one(self):
         metric = unit_interval_metric(256)
@@ -229,15 +294,11 @@ class TestDimension:
         assert abs(kappa - 1.0) <= 0.2
 
     def test_circle_lattice_dimension_one(self):
-        from bgl.fixtures import circle_lattice_metric
-
         prof = covering_profile(circle_lattice_metric(8), 0.5, 12)
         kappa = entropy_dimension(prof, fit_range=(2, 6))
         assert abs(kappa - 1.0) <= 0.2
 
     def test_square_lattice_dimension_two(self):
-        from bgl.fixtures import torus_lattice_metric
-
         prof = covering_profile(torus_lattice_metric(6), 0.5, 8)
         kappa = entropy_dimension(prof, fit_range=(2, 4))
         assert abs(kappa - 2.0) <= 0.2
