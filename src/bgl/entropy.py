@@ -46,7 +46,6 @@ class SemiMetric:
     a bug in the norm that produced the distances)."""
 
     d: np.ndarray
-    triangle_tol: float = 1e-9
     trusted: bool = False  # metrics exact by construction may skip the O(m^3) check
 
     def __post_init__(self):
@@ -61,9 +60,8 @@ class SemiMetric:
         if np.any(d < 0) or not np.all(np.isfinite(d)):
             raise DomainError("distances must be finite and nonnegative")
         if not self.trusted:
-            tol = self.triangle_tol
             for j in range(d.shape[0]):
-                if np.max(d - (d[:, j][:, None] + d[j, :][None, :])) > tol:
+                if np.max(d - (d[:, j][:, None] + d[j, :][None, :])) > 1e-9:
                     raise DomainError(f"triangle inequality violated through point {j}")
 
     @property
@@ -107,14 +105,13 @@ class SemiMetric:
 
 
 def family_semimetric(family: FunctionFamily, p: float | None = None,
-                      psi: PsiFunction | None = None, grid: PGrid | None = None,
-                      check_sigma: bool = True) -> SemiMetric:
+                      psi: PsiFunction | None = None, grid: PGrid | None = None) -> SemiMetric:
     """Pairwise distances |Y(t) - Y(s)|_p or ||Y(t) - Y(s)||_{G(psi)}.
 
     The grand Lebesgue variant evaluates member and difference norms on the
     same grid without refinement, which keeps d <= 2 sigma and the triangle
-    inequality exact up to rounding.  All pairs go through one batched norm
-    evaluation.
+    inequality exact up to rounding; a diameter above 2 sigma (beyond
+    rounding) raises.  All pairs go through one batched norm evaluation.
     """
     if (p is None) == (psi is None):
         raise DomainError("pass exactly one of p= or psi=/grid=")
@@ -140,12 +137,11 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
             pair = (lp_norm_matrix(diffs, weights, grid.points) / psi_vals).max(axis=1)
             d[iu, ju] = d[ju, iu] = pair
     metric = SemiMetric(d)
-    if check_sigma:
-        sigma = float(norms.max())
-        if metric.diameter > 2.0 * sigma * (1.0 + 1e-9) + 1e-15:
-            raise DomainError(
-                f"distance {metric.diameter} exceeds 2*sigma = {2 * sigma}"
-            )
+    sigma = float(norms.max())
+    if metric.diameter > 2.0 * sigma * (1.0 + 1e-9) + 1e-15:
+        raise DomainError(
+            f"distance {metric.diameter} exceeds 2*sigma = {2 * sigma}"
+        )
     return metric
 
 
@@ -299,13 +295,6 @@ class CoveringProfile:
     levels: tuple
     n_points: int
     exact: bool
-    dimension_estimate: float | None = None
-
-    def level_count(self, k: int) -> int:
-        for lv in self.levels:
-            if lv.k == k:
-                return lv.n_balls
-        raise KeyError(k)
 
 
 def covering_profile(metric: SemiMetric, theta: float, k_max: int,

@@ -154,11 +154,11 @@ class MaximalRatioReport:
 
 
 def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
-                        m_list, growth_cap: float = 1.05) -> MaximalRatioReport:
+                        m_list) -> MaximalRatioReport:
     """Uniform control of the maximal partial-sum operator.
 
     rho(p, M) = |s*_{<=M}[f]|_p / (p^4 |f|_p / (p-1)^2) must show no growth
-    trend in M (last value <= growth_cap times the running max); the report
+    trend in M (last value <= 1.05 times the running max); the report
     also carries ||s*||_{G(psi_2)} / ||f||_{G(psi)} with the p^4/(p-1)^2
     weight folded into psi_2.
     """
@@ -182,7 +182,7 @@ def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
         values = [r for _, r in row]
         if len(values) >= 2:
             # growth test: the final value must not escape the earlier plateau
-            ok = ok and (values[-1] <= growth_cap * max(values[:-1]))
+            ok = ok and (values[-1] <= 1.05 * max(values[:-1]))
         rho_rows.append((float(p), tuple(row)))
     psi2 = psi_fourier(psi)
     star = maxima[m_list[-1]]

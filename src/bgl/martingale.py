@@ -188,14 +188,14 @@ class SummabilityReport:
     n_terms: int
 
 
-def summability_check(v: NormingFunction, n_terms: int = 48,
-                      tail_threshold: float = 0.08) -> SummabilityReport:
-    """Numerical test of sum_n 1/v(2^n) < inf over the tested range.
+def summability_check(v: NormingFunction) -> SummabilityReport:
+    """Numerical test of sum_n 1/v(2^n) < inf over n = 1..48.
 
     Heuristic: the second half of the partial sum must contribute less than
-    ``tail_threshold`` of the total.  This cleanly separates v(n) = n
-    (geometric terms) from v(n) = log n (harmonic terms) on 48 terms.
+    0.08 of the total.  This cleanly separates v(n) = n (geometric terms)
+    from v(n) = log n (harmonic terms) on 48 terms.
     """
+    n_terms = 48
     ns = np.arange(1, n_terms + 1, dtype=float)
     terms = 1.0 / v(2.0 ** ns)
     if np.any(terms <= 0) or not np.all(np.isfinite(terms)):
@@ -204,7 +204,7 @@ def summability_check(v: NormingFunction, n_terms: int = 48,
     half = float(terms[n_terms // 2:].sum())
     frac = half / total
     return SummabilityReport(partial_sum=total, tail_fraction=frac,
-                             summable=frac < tail_threshold, n_terms=n_terms)
+                             summable=frac < 0.08, n_terms=n_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +265,7 @@ class BlockChainReport:
 
 
 def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
-                           v: NormingFunction, grid: PGrid,
-                           float_tol: float = 1e-12) -> BlockChainReport:
+                           v: NormingFunction, grid: PGrid) -> BlockChainReport:
     """Verify the dyadic-block proof chain for tau = sup_n S_n/(v(n) sigma(n)).
 
     Blocks are Q(k) = [2^{k-1}, 2^k - 1] clipped to the horizon.  Per block
@@ -279,7 +278,9 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
     with kappa = sup_n ||S_n / sigma(n)||_{G(psi)} on the same grid.  Summing
     gives ||tau||_{G(psi_1)} <= kappa * sum_k sigma(B)/(v(A) sigma(A)) with
     psi_1(p) = p psi(p)/(p-1); the report's ratio is lhs/rhs for that final
-    inequality, evaluated grid-consistently so it cannot exceed 1.
+    inequality, evaluated grid-consistently so it cannot exceed 1.  A block
+    passes when both margins stay above -1e-12 times the scale of their
+    right-hand side.
     """
     if not ens.exhaustive:
         raise PreconditionError("the block chain check needs an exhaustive ensemble")
@@ -313,8 +314,8 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
         moment_margin = float(np.min(kappa * psi_vals * sig[b - 1] - norm_matrix[b - 1]))
         factor = sig[b - 1] / (vv[a - 1] * sig[a - 1])
         factor_sum += factor
-        ok = (doob_margin >= -float_tol * max(1.0, float(np.max(doob_rhs)))
-              and moment_margin >= -float_tol * max(1.0, kappa * float(np.max(psi_vals)) * sig[b - 1]))
+        ok = (doob_margin >= -1e-12 * max(1.0, float(np.max(doob_rhs)))
+              and moment_margin >= -1e-12 * max(1.0, kappa * float(np.max(psi_vals)) * sig[b - 1]))
         all_pass = all_pass and ok
         blocks.append(BlockRecord(k=k, a=a, b=b, doob_margin=doob_margin,
                                   moment_margin=moment_margin, factor=factor))

@@ -54,9 +54,6 @@ class DiscreteMeasureSpace:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
-
 
 def _same_space(a: DiscreteMeasureSpace, b: DiscreteMeasureSpace) -> bool:
     return a is b or (a.n_atoms == b.n_atoms and np.array_equal(a.weights, b.weights))
@@ -78,9 +75,6 @@ class SimpleFunction:
             )
         if not np.all(np.isfinite(v)):
             raise DomainError("function values must be finite (no NaN or inf)")
-
-    def expectation(self) -> float:
-        return self.space.integrate(self.values)
 
     def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
         self._check(other)

@@ -88,22 +88,20 @@ class NormResult:
 
 
 def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid,
-             refine: bool = True, extra_points=None) -> NormResult:
+             refine: bool = True) -> NormResult:
     """Grand Lebesgue norm sup_p |f|_p / psi(p), discretized on the grid.
 
-    ``extra_points`` are additional candidate p values (inside the support);
-    callers comparing two norms pass one side's argmax to the other so the
-    comparison is evaluated on a common point set.
+    The refined argmax is carried in the result; callers comparing two norms
+    pass it to the other side (as `fundamental_function`'s extra point) so
+    the comparison is evaluated on a common point set.
     """
     if not psi.contains_grid(grid):
         raise DomainError(f"grid not inside support ({psi.a}, {psi.b}) of {psi.label}")
-    pts = grid.with_extra(extra_points)
-    if np.any(pts <= psi.a) or np.any(pts >= psi.b):
-        raise DomainError("extra points outside the support of psi")
+    pts = grid.points
     ratios = lp_norm(f, pts) / psi.eval(pts)
     j = int(np.argmax(ratios))
     best_p, best_v = float(pts[j]), float(ratios[j])
-    if refine and ratios.size >= 2:
+    if refine:
         # rescan the bracket around the argmax, 33 points per kernel call,
         # narrowing to the neighbours of each round's argmax until 1e-6 wide
         lo = float(pts[max(j - 1, 0)])
@@ -119,9 +117,10 @@ def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid,
 
 
 def fundamental_function(psi: PsiFunction, delta: float, grid: PGrid,
-                         refine: bool = True, extra_points=None) -> float:
+                         extra_points=None) -> float:
     """sup_p delta^{1/p} / psi(p) on the grid, the norm of a measure-delta indicator.
 
+    ``extra_points`` are additional candidate p values inside the support.
     Shares no code with bgl_norm, including the refinement step: the
     indicator cross-check relies on the two computations being independent.
     """
@@ -134,27 +133,23 @@ def fundamental_function(psi: PsiFunction, delta: float, grid: PGrid,
         raise DomainError("extra points outside the support of psi")
     vals = np.power(delta, 1.0 / pts) / psi.eval(pts)
     j = int(np.argmax(vals))
-    best = float(vals[j])
-    if refine and pts.size >= 2:
-        a = float(pts[max(j - 1, 0)])
-        b = float(pts[min(j + 1, pts.size - 1)])
-        if b > a:
-            # deliberate duplicate of the golden-section step: see docstring
+    a = float(pts[max(j - 1, 0)])
+    b = float(pts[min(j + 1, pts.size - 1)])
+    # deliberate duplicate of the golden-section step: see docstring
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    h = lambda p: delta ** (1.0 / p) / float(psi(p))
+    fc, fd = h(c), h(d)
+    while (b - a) > 1e-6:
+        if fc >= fd:
+            b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
+            fc = h(c)
+        else:
+            a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            h = lambda p: delta ** (1.0 / p) / float(psi(p))
-            fc, fd = h(c), h(d)
-            while (b - a) > 1e-6:
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - _INVPHI * (b - a)
-                    fc = h(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + _INVPHI * (b - a)
-                    fd = h(d)
-            best = max(best, h(0.5 * (a + b)))
-    return best
+            fd = h(d)
+    return max(float(vals[j]), h(0.5 * (a + b)))
 
 
 def natural_psi(family: FunctionFamily, grid: PGrid) -> PsiFunction:

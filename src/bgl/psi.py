@@ -5,9 +5,9 @@ A generating function psi lives on an open interval (a, b) with
 sup_p |f|_p / psi(p), only ever needs point evaluation, so a function is
 stored as a vectorized evaluator plus its support endpoints.  Closed forms
 (constant, power, p/(p-1), p/(p-kappa), tabulated) are provided as
-constructors, and the transforms used by the maximal inequalities
-(products, kappa corrections, the Doob and Fourier weight factors) return
-new evaluators on the appropriately restricted support.
+constructors.  The transforms used by the maximal inequalities (the kappa
+corrections, the Doob and Fourier weights) are each psi times a closed-form
+factor, built by `product_psi` on the intersection of the two supports.
 """
 
 from __future__ import annotations
@@ -73,13 +73,13 @@ class PsiFunction:
 class PGrid:
     """Finite p-grid used to discretize sup over the open interval.
 
-    When the support is unbounded the grid stops at ``p_max_cap``; the true
-    supremum may then be approached only in the limit p -> inf, which callers
-    of edge-monotone quantities (e.g. delta^{1/p} with delta < 1) must expect.
+    On an unbounded support `log_spaced` and `inside` stop the grid at
+    ``p_max_cap``; the true supremum may then be approached only in the limit
+    p -> inf, which callers of edge-monotone quantities (e.g. delta^{1/p}
+    with delta < 1) must expect.
     """
 
     points: np.ndarray
-    p_max_cap: float = 200.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -94,7 +94,7 @@ class PGrid:
         hi = min(hi, p_max_cap)
         if not (0 < lo < hi):
             raise DomainError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-        return PGrid(np.geomspace(lo, hi, n), p_max_cap=p_max_cap)
+        return PGrid(np.geomspace(lo, hi, n))
 
     @staticmethod
     def inside(psi: PsiFunction, n: int = 128, p_max_cap: float = 200.0,
@@ -134,20 +134,18 @@ def power(beta: float, a: float = 1.0, b: float = math.inf) -> PsiFunction:
                        label=f"power[{beta:g}]")
 
 
-def doob_factor(a: float = 1.0, b: float = math.inf) -> PsiFunction:
-    """psi(p) = p/(p-1) on (max(a,1), b), the weight of the Doob inequality."""
-    return PsiFunction(max(a, 1.0), b, lambda p: np.asarray(p, float) / (np.asarray(p, float) - 1.0),
+def doob_factor() -> PsiFunction:
+    """psi(p) = p/(p-1) on (1, inf), the weight of the Doob inequality."""
+    return PsiFunction(1.0, math.inf, lambda p: np.asarray(p, float) / (np.asarray(p, float) - 1.0),
                        label="doob_factor")
 
 
-def ratio(kappa: float, b: float = math.inf) -> PsiFunction:
-    """psi(p) = p/(p-kappa) on (max(kappa,1), b)."""
+def ratio(kappa: float) -> PsiFunction:
+    """psi(p) = p/(p-kappa) on (max(kappa,1), inf)."""
     if kappa <= 0:
         raise DomainError("ratio constructor needs kappa > 0")
     a = max(kappa, 1.0)
-    if a >= b:
-        raise DomainError(f"kappa={kappa} leaves no support below b={b}")
-    return PsiFunction(a, b, lambda p: np.asarray(p, float) / (np.asarray(p, float) - kappa),
+    return PsiFunction(a, math.inf, lambda p: np.asarray(p, float) / (np.asarray(p, float) - kappa),
                        label=f"ratio[{kappa:g}]")
 
 
@@ -202,16 +200,7 @@ def product_psi(psi: PsiFunction, nu: PsiFunction) -> PsiFunction:
 
 def psi_kappa(psi: PsiFunction, kappa: float) -> PsiFunction:
     """psi(p) * p/(p - kappa) on the support restricted to p > max(kappa, 1)."""
-    if kappa <= 0:
-        raise DomainError("psi_kappa needs kappa > 0")
-    a = max(psi.a, kappa, 1.0)
-    if a >= psi.b:
-        raise DomainError(f"kappa={kappa} leaves no support inside ({psi.a},{psi.b})")
-    return PsiFunction(
-        a, psi.b,
-        lambda p: psi.eval(np.asarray(p, float)) * np.asarray(p, float) / (np.asarray(p, float) - kappa),
-        label=f"{psi.label}^({kappa:g})",
-    )
+    return product_psi(psi, ratio(kappa))
 
 
 def psi_kappa12(psi: PsiFunction, kappa1: float, kappa2: float) -> PsiFunction:
@@ -219,54 +208,32 @@ def psi_kappa12(psi: PsiFunction, kappa1: float, kappa2: float) -> PsiFunction:
 
     For kappa2 < kappa1 the factor is [p/(p-kappa1)]^(1-kappa2/kappa1); for
     kappa2 = kappa1 it is max(|log(p-kappa1)/log p|, 1); for kappa2 > kappa1
-    no correction is needed and psi itself is returned.
+    no correction is needed and psi itself is returned.  The factor lives on
+    p > max(kappa1, 1).
     """
     if kappa1 <= 0:
         raise DomainError("psi_kappa12 needs kappa1 > 0")
     if kappa2 > kappa1:
         return psi
-    a = max(psi.a, kappa1, 1.0)
-    if a >= psi.b:
-        raise DomainError(f"kappa1={kappa1} leaves no support inside ({psi.a},{psi.b})")
     if kappa2 == kappa1:
-        def ev(p):
-            p = np.asarray(p, float)
-            z = np.abs(np.log(p - kappa1) / np.log(p))
-            return np.maximum(z, 1.0) * psi.eval(p)
-        lab = f"{psi.label}^(log;{kappa1:g})"
+        factor = from_formula(lambda p: np.maximum(np.abs(np.log(p - kappa1) / np.log(p)), 1.0),
+                              max(kappa1, 1.0), math.inf, label=f"log_ratio[{kappa1:g}]")
     else:
         expo = 1.0 - kappa2 / kappa1
-
-        def ev(p):
-            p = np.asarray(p, float)
-            return (p / (p - kappa1)) ** expo * psi.eval(p)
-        lab = f"{psi.label}^({kappa1:g},{kappa2:g})"
-    return PsiFunction(a, psi.b, ev, label=lab)
+        factor = from_formula(lambda p: (p / (p - kappa1)) ** expo, max(kappa1, 1.0), math.inf,
+                              label=f"ratio[{kappa1:g}]^{expo:g}")
+    return product_psi(psi, factor)
 
 
 def psi_doob(psi: PsiFunction) -> PsiFunction:
-    """p * psi(p)/(p - 1) on the support intersected with (1, inf)."""
-    a = max(psi.a, 1.0)
-    if a >= psi.b:
-        raise DomainError("no support above p = 1")
-    return PsiFunction(
-        a, psi.b,
-        lambda p: np.asarray(p, float) * psi.eval(np.asarray(p, float)) / (np.asarray(p, float) - 1.0),
-        label=f"doob({psi.label})",
-    )
+    """psi(p) * p/(p - 1), the weight of the Doob inequality."""
+    return product_psi(psi, doob_factor())
 
 
 def psi_fourier(psi: PsiFunction) -> PsiFunction:
-    """p^4 * psi(p)/(p - 1)^2, the weight for the Fourier maximal function."""
-    a = max(psi.a, 1.0)
-    if a >= psi.b:
-        raise DomainError("no support above p = 1")
-    return PsiFunction(
-        a, psi.b,
-        lambda p: np.asarray(p, float) ** 4 * psi.eval(np.asarray(p, float))
-        / (np.asarray(p, float) - 1.0) ** 2,
-        label=f"fourier({psi.label})",
-    )
+    """psi(p) * p^4/(p - 1)^2, the weight for the Fourier maximal function."""
+    return product_psi(psi, from_formula(lambda p: p ** 4 / (p - 1.0) ** 2, 1.0, math.inf,
+                                         label="fourier_factor"))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,15 @@ class TestEntropySumBound:
                 rep = entropy_sum_bound(fam, 2.0, theta)
                 assert rep.dominates, theta
 
+    def test_unsaturated_tail_uses_family_size(self):
+        # k_max = 1 stops at one ball, short of the 16 distinct members, so
+        # the tail counts every member: theta/(1-theta) * 16^{1/2}
+        fam = random_nonneg_family(make_rng(5), 16, 32)
+        rep = entropy_sum_bound(fam, 2.0, 0.5, k_max=1)
+        assert not rep.saturated and rep.truncation_k == 1
+        assert covering_profile(family_semimetric(fam, p=2.0), 0.5, 1).levels[-1].n_balls < 16
+        assert rep.tail_estimate == pytest.approx(0.5 / 0.5 * 16.0 ** 0.5, rel=1e-12)
+
 
 class TestOptimizeTheta:
     def test_singleton_prefers_smallest_theta(self):
@@ -190,6 +199,18 @@ class TestChainedProductBound:
         rep = chained_product_bound(fam, constant(), power(1.0), GRID, 0.5)
         resum = rep.anchor + sum(t for _, t in rep.per_level_terms) + rep.tail_estimate
         assert rep.bound_value == pytest.approx(resum, rel=1e-15)
+
+    def test_unsaturated_tail_uses_family_size(self):
+        # phi(G(1), 16) is attained at the grid's smallest p, whatever the
+        # extra point the exact side contributes
+        fam = random_nonneg_family(make_rng(5), 16, 32)
+        rep = chained_product_bound(fam, power(1.0), constant(), GRID, 0.5, k_max=1)
+        assert not rep.saturated and rep.truncation_k == 1
+        metric = family_semimetric(fam, psi=power(1.0), grid=GRID)
+        assert covering_profile(metric, 0.5, 1).levels[-1].n_balls < 16
+        phi_m = fundamental_function(constant(), 16.0, GRID)
+        assert phi_m == pytest.approx(16.0 ** (1.0 / GRID.points[0]), rel=1e-12)
+        assert rep.tail_estimate == pytest.approx(0.5 / 0.5 * phi_m, rel=1e-12)
 
 
 class TestPolynomialEntropy:
@@ -296,6 +317,17 @@ class TestExpOrlicz:
         rep1 = exp_orlicz_bound(fam, 1.0, 0.5, 1.5, 0.5)
         rep10 = exp_orlicz_bound(fam.scale(10.0), 1.0, 0.5, 1.5, 0.5)
         assert rep10.slack_ratio == pytest.approx(rep1.slack_ratio, rel=1e-9)
+
+    def test_unsaturated_tail_uses_family_size(self):
+        # one level of 15 balls for 16 distinct members: the tail takes
+        # log(16)^gamma, not log(15)^gamma
+        fam = random_nonneg_family(make_rng(5), 16, 32)
+        b1, b2 = 0.5, 1.5
+        rep = exp_orlicz_bound(fam, 1.0, b1, b2, 0.5, k_max=1)
+        assert rep.truncation_k == 1
+        assert rep.per_level_terms[-1][1] < math.log(16.0) ** (b2 - b1)
+        assert rep.tail_estimate == pytest.approx(0.5 / 0.5 * math.log(16.0) ** (b2 - b1),
+                                                  rel=1e-12)
 
     def test_bad_exponent_order(self):
         with pytest.raises(DomainError):

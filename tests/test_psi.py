@@ -157,6 +157,17 @@ class TestDoobFourierWeights:
             assert np.all(psi.eval(g.points) >= 1.0)
 
 
+def test_transform_supports_on_a_bounded_base():
+    """Each weighted transform lives on (max(a, kappa, 1), b) of its base."""
+    base = power(1.0, a=1.2, b=30.0)
+    cases = [(psi_kappa(base, 0.5), 1.2), (psi_kappa(base, 2.0), 2.0),
+             (psi_kappa12(base, 2.0, 1.0), 2.0), (psi_kappa12(base, 2.0, 2.0), 2.0),
+             (psi_kappa12(base, 0.5, 0.5), 1.2), (psi_doob(base), 1.2),
+             (psi_fourier(base), 1.2)]
+    for psi, a in cases:
+        assert (psi.a, psi.b) == (a, 30.0), psi.label
+
+
 class TestTable:
     def test_interpolates_tabulated_points(self):
         pts = np.array([1.5, 2.0, 4.0, 8.0])
