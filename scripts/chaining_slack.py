@@ -13,7 +13,7 @@ sys.path.insert(0, "src")
 
 import numpy as np
 
-from bgl.chaining import chained_product_bound, optimize_theta, pisier_bound
+from bgl.chaining import chained_product_bounds, optimize_theta, pisier_bound
 from bgl.entropy import family_semimetric
 from bgl.fixtures import make_rng, random_nonneg_family
 from bgl.norms import natural_psi
@@ -38,10 +38,8 @@ def main():
         psi0 = natural_psi(fam, grid)
         metric = family_semimetric(fam, psi=psi0, grid=grid)
         row = [f"{m:4d}", f"{pisier_bound(fam, 2.0).slack_ratio:12.3f}"]
-        for theta in args.thetas:
-            rep = chained_product_bound(fam, psi0, power(1.0), grid, theta,
-                                        metric=metric)
-            row.append(f"{rep.slack_ratio:12.3f}")
+        row += [f"{rep.slack_ratio:12.3f}" for rep in
+                chained_product_bounds(fam, psi0, power(1.0), grid, args.thetas, metric=metric)]
         best = optimize_theta(fam, args.thetas, psi=psi0, nu=power(1.0), grid=grid)
         row.append(f"{best.theta_star:10.2f}")
         print(" ".join(row))

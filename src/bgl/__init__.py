@@ -59,6 +59,7 @@ from .chaining import (
     ChainingReport,
     abs_sup,
     chained_product_bound,
+    chained_product_bounds,
     entropy_sum_bound,
     exact_sup,
     exp_orlicz_bound,

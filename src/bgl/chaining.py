@@ -28,7 +28,7 @@ import numpy as np
 
 from .entropy import SemiMetric, covering_profile, family_semimetric
 from .errors import DomainError, EvaluationError, ModelMismatchError
-from .measure import FunctionFamily, SimpleFunction, pointwise_max
+from .measure import FunctionFamily, SimpleFunction
 from .norms import (
     MriNormSpec,
     bgl_norm,
@@ -48,6 +48,7 @@ __all__ = [
     "ChainingReport",
     "entropy_sum_bound",
     "chained_product_bound",
+    "chained_product_bounds",
     "optimize_theta",
     "PolyEntropyReport",
     "polynomial_entropy_check",
@@ -62,12 +63,12 @@ __all__ = [
 
 def exact_sup(family: FunctionFamily) -> SimpleFunction:
     """Pointwise supremum sup_t Y(t, x); finite families make this exact."""
-    return pointwise_max(family.members)
+    return SimpleFunction(family.space, family.values_matrix().max(axis=0))
 
 
 def abs_sup(family: FunctionFamily) -> SimpleFunction:
     """Pointwise max of |Y(t, x)|, the quantity the bounds actually control."""
-    return pointwise_max([abs(f) for f in family.members])
+    return SimpleFunction(family.space, np.abs(family.values_matrix()).max(axis=0))
 
 
 def _max_member_norm(family: FunctionFamily, pts: np.ndarray,
@@ -208,10 +209,15 @@ def _chaining_report(metric: SemiMetric, theta: float, k_max: int, factor,
 
 
 def entropy_sum_bound(family: FunctionFamily, p: float, theta: float,
-                      k_max: int = 32) -> ChainingReport:
-    """Anchor + sum_k theta^{k-1} N^{1/p}(T, d_p, theta^k) + geometric tail."""
-    return _chaining_report(family_semimetric(family, p=p), theta, k_max,
-                            lambda n: n ** (1.0 / p),
+                      k_max: int = 32, metric: SemiMetric | None = None) -> ChainingReport:
+    """Anchor + sum_k theta^{k-1} N^{1/p}(T, d_p, theta^k) + geometric tail.
+
+    ``metric`` may carry a precomputed d_p matrix (it depends only on the
+    family and p, so callers sweeping theta reuse it).
+    """
+    if metric is None:
+        metric = family_semimetric(family, p=p)
+    return _chaining_report(metric, theta, k_max, lambda n: n ** (1.0 / p),
                             _max_member_norm(family, np.array([p], dtype=float)),
                             lp_norm(abs_sup(family), p), lp_norm(exact_sup(family), p))
 
@@ -221,40 +227,54 @@ def chained_product_bound(family: FunctionFamily, psi: PsiFunction, nu: PsiFunct
                           metric: SemiMetric | None = None) -> ChainingReport:
     """Chaining in the grand Lebesgue scale: anchor plus
     sum_k theta^{k-1} phi(G(nu), N(T, d_psi, theta^k)) plus tail, dominating
-    ||max|Y|||_{G(psi nu)}.
-
-    ``metric`` may carry a precomputed d_psi matrix (it depends only on the
-    family, psi, and grid, so callers sweeping theta or nu reuse it).
+    ||max|Y|||_{G(psi nu)}.  The one-theta case of `chained_product_bounds`.
     """
+    return chained_product_bounds(family, psi, nu, grid, (theta,), k_max=k_max,
+                                  metric=metric)[0]
+
+
+def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunction,
+                           grid: PGrid, thetas, k_max: int = 32,
+                           metric: SemiMetric | None = None) -> tuple[ChainingReport, ...]:
+    """`chained_product_bound` at each theta, in order.
+
+    The exact sides, the anchor, the d_psi metric and phi(G(nu), N) per
+    count N do not depend on theta, so they are computed once for all
+    thetas.  ``metric`` may carry a precomputed d_psi matrix (it depends
+    only on the family, psi, and grid, so callers sweeping nu reuse it).
+    """
+    if metric is None:
+        metric = family_semimetric(family, psi=psi, grid=grid)
     zeta = product_psi(psi, nu)
     exact, exact_signed = _exact_sides(family, zeta, grid)
     extra = [exact.p_star]
-    if metric is None:
-        metric = family_semimetric(family, psi=psi, grid=grid)
-    return _chaining_report(metric, theta, k_max,
-                            lambda n: fundamental_function(nu, float(n), grid, extra_points=extra),
-                            _max_member_norm(family, grid.with_extra(extra), zeta),
-                            exact.value, exact_signed)
+    anchor = _max_member_norm(family, grid.with_extra(extra), zeta)
+    phi = {}
+
+    def factor(n):
+        if n not in phi:
+            phi[n] = fundamental_function(nu, float(n), grid, extra_points=extra)
+        return phi[n]
+
+    return tuple(_chaining_report(metric, theta, k_max, factor, anchor,
+                                  exact.value, exact_signed) for theta in thetas)
 
 
 def optimize_theta(family: FunctionFamily, theta_grid, p: float | None = None,
                    psi: PsiFunction | None = None, nu: PsiFunction | None = None,
                    grid: PGrid | None = None, k_max: int = 32) -> ChainingReport:
-    """Evaluate the selected chaining bound on each theta and keep the smallest."""
+    """Evaluate the selected chaining bound on each theta and keep the smallest
+    (the first, on ties).  The metric is built once for all thetas."""
     thetas = list(theta_grid)
     if not thetas:
         raise DomainError("theta grid is empty")
-    metric = None if p is not None else family_semimetric(family, psi=psi, grid=grid)
-    best = None
-    for theta in thetas:
-        if p is not None:
-            rep = entropy_sum_bound(family, p, theta, k_max=k_max)
-        else:
-            rep = chained_product_bound(family, psi, nu, grid, theta, k_max=k_max,
-                                        metric=metric)
-        if best is None or rep.bound_value < best.bound_value:
-            best = rep
-    return best
+    if p is not None:
+        metric = family_semimetric(family, p=p)
+        reports = [entropy_sum_bound(family, p, theta, k_max=k_max, metric=metric)
+                   for theta in thetas]
+    else:
+        reports = chained_product_bounds(family, psi, nu, grid, thetas, k_max=k_max)
+    return min(reports, key=lambda rep: rep.bound_value)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,22 @@ __all__ = [
 
 EXACT_COVER_LIMIT = 24
 
+# side of the square tiles the exact-symmetry check compares; a tile pair
+# stays in cache, where comparing d with its strided transpose does not
+_SYMMETRY_TILE = 64
+
+
+def _exactly_symmetric(d: np.ndarray) -> bool:
+    """d == d.T cell for cell (NaN never equals itself), compared tile
+    d[i:i+t, j:j+t] against the transposed tile d[j:j+t, i:i+t] for j >= i."""
+    t = _SYMMETRY_TILE
+    n = d.shape[0]
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            if not np.array_equal(d[i:i + t, j:j + t], d[j:j + t, i:i + t].T):
+                return False
+    return True
+
 
 @dataclass(frozen=True)
 class SemiMetric:
@@ -53,7 +69,7 @@ class SemiMetric:
         object.__setattr__(self, "d", d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DomainError("distance matrix must be square")
-        if not np.array_equal(d, d.T):
+        if not _exactly_symmetric(d):
             raise DomainError("distance matrix must be exactly symmetric")
         if np.any(np.diag(d) != 0.0):
             raise DomainError("diagonal must be exactly zero")

@@ -2,9 +2,9 @@
 
 Everything is finite and immutable: a measure space is an array of strictly
 positive atom weights, a function is an array of values on those atoms, and
-a family is a tuple of functions sharing one space.  Infinite total mass is
-represented only through truncation sequences carrying a flag; no operation
-depends on exact diffuseness.
+a family is one value matrix, a row per member, on one space.  Infinite
+total mass is represented only through truncation sequences carrying a
+flag; no operation depends on exact diffuseness.
 """
 
 from __future__ import annotations
@@ -116,44 +116,59 @@ def pointwise_max(functions: Sequence[SimpleFunction]) -> SimpleFunction:
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """Finite indexed family {Y(t, .)} on one shared measure space."""
+    """Finite indexed family {Y(t, .)} on one shared measure space, stored as
+    one read-only (m, n_atoms) value matrix: row t holds Y(t, .).
 
-    labels: tuple
-    members: tuple
+    Build it with `from_values`; the matrix is validated once (2-d, one
+    column per atom, finite) and copied, so later mutation of the caller's
+    array cannot reach it.  Everything derived from a family reads the
+    matrix; `members` builds `SimpleFunction` views only on request.
+    """
+
+    labels: tuple | None
+    space: DiscreteMeasureSpace
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.members) < 1:
+        v = np.array(self.values, dtype=float)
+        if v.ndim != 2:
+            raise DomainError("matrix must be 2-d: one row per member")
+        if v.shape[0] < 1:
             raise DomainError("a family needs at least one member")
-        if len(self.labels) != len(self.members):
+        if v.shape[1] != self.space.n_atoms:
+            raise DomainError(
+                f"matrix has {v.shape[1]} columns for {self.space.n_atoms} atoms"
+            )
+        if not np.all(np.isfinite(v)):
+            raise DomainError("function values must be finite (no NaN or inf)")
+        labels = (tuple(f"t{i}" for i in range(v.shape[0])) if self.labels is None
+                  else tuple(self.labels))
+        if len(labels) != v.shape[0]:
             raise DomainError("labels and members must match")
-        space = self.members[0].space
-        for f in self.members[1:]:
-            if not _same_space(space, f.space):
-                raise PreconditionError("family members live on different spaces")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "members", tuple(self.members))
+        v.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", v)
 
     @staticmethod
     def from_values(space: DiscreteMeasureSpace, matrix, labels=None) -> "FunctionFamily":
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2:
-            raise DomainError("matrix must be 2-d: one row per member")
-        labels = tuple(f"t{i}" for i in range(m.shape[0])) if labels is None else tuple(labels)
-        return FunctionFamily(labels, tuple(SimpleFunction(space, row) for row in m))
+        """Family with rows of ``matrix`` as members, labelled t0, t1, ... by default."""
+        return FunctionFamily(labels, space, matrix)
 
     @property
-    def space(self) -> DiscreteMeasureSpace:
-        return self.members[0].space
+    def members(self) -> tuple:
+        """The rows as `SimpleFunction`s, built on each access."""
+        return tuple(SimpleFunction(self.space, row) for row in self.values)
 
     @property
     def m(self) -> int:
-        return len(self.members)
+        return int(self.values.shape[0])
 
     def values_matrix(self) -> np.ndarray:
-        return np.stack([f.values for f in self.members])
+        """The stored read-only matrix (not a copy)."""
+        return self.values
 
     def scale(self, c: float) -> "FunctionFamily":
-        return FunctionFamily(self.labels, tuple(f * c for f in self.members))
+        return FunctionFamily(self.labels, self.space, self.values * float(c))
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,12 @@ def fundamental_function(psi: PsiFunction, delta: float, grid: PGrid,
     j = int(np.argmax(vals))
     a = float(pts[max(j - 1, 0)])
     b = float(pts[min(j + 1, pts.size - 1)])
-    # deliberate duplicate of the golden-section step: see docstring
+    # deliberate duplicate of the golden-section step: see docstring.  Every
+    # bracket point lies between two points checked against the support
+    # above, so the loop evaluates psi.eval without psi's own check.
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    h = lambda p: delta ** (1.0 / p) / float(psi(p))
+    h = lambda p: delta ** (1.0 / p) / float(psi.eval(p))
     fc, fd = h(c), h(d)
     while (b - a) > 1e-6:
         if fc >= fd:

@@ -16,8 +16,11 @@ import math
 import numpy as np
 from scipy.special import zeta as riemann_zeta
 
+# chained_product_bound is not called here, but perfbench's suite harness
+# looks up every name in its SUITE_CASE_CALLS on this module
 from .chaining import (
     chained_product_bound,
+    chained_product_bounds,
     generalized_pisier_bound,
     pisier_bound,
     series_S_beta,
@@ -166,9 +169,9 @@ def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
         metric = family_semimetric(fam, psi=psi0, grid=grid)
         for nu in nus or [constant(), power(1.0)]:
             nu = _resolve(nu, fam, grid)
-            for theta in thetas:
-                rep = chained_product_bound(fam, psi0, nu, grid, theta, k_max=k_max,
-                                            metric=metric)
+            reports = chained_product_bounds(fam, psi0, nu, grid, thetas, k_max=k_max,
+                                             metric=metric)
+            for theta, rep in zip(thetas, reports):
                 margins.add(rep.bound_value, rep.exact_sup_norm,
                             family_index=idx, theta=theta, nu=nu.label)
     return Record("chained_product_bound_domination", margins.passed,

@@ -12,7 +12,7 @@ import pytest
 from bgl.cli import main as cli_main
 from bgl.report import Report, to_text
 from bgl.scenario import default_scenario, run_scenario
-from bgl.suite import NAMES, VERBS, run_suite
+from bgl.suite import CRITERIA, NAMES, VERBS, run_suite
 
 SEED = 20240801
 
@@ -20,6 +20,10 @@ SEED = 20240801
 @pytest.fixture(scope="module")
 def suite_report():
     return run_suite(seed=SEED)
+
+
+def test_suite_has_one_record_per_criterion(suite_report):
+    assert len(suite_report.records) == len(CRITERIA)
 
 
 def _check(report, name):

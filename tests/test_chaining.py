@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bgl.chaining import (
     abs_sup,
     chained_product_bound,
+    chained_product_bounds,
     entropy_sum_bound,
     exact_sup,
     exp_orlicz_bound,
@@ -38,7 +40,7 @@ class TestExactSup:
     def test_f_and_minus_f(self):
         space = DiscreteMeasureSpace(np.ones(5))
         f = SimpleFunction(space, np.array([1.0, -2.0, 3.0, -4.0, 0.0]))
-        fam = FunctionFamily(("f", "-f"), (f, -1.0 * f))
+        fam = FunctionFamily.from_values(space, np.stack([f.values, -1.0 * f.values]), ("f", "-f"))
         assert np.array_equal(exact_sup(fam).values, np.abs(f.values))
 
     def test_matches_per_atom_loop(self):
@@ -61,7 +63,7 @@ class TestPisier:
         rng = make_rng(22)
         space = DiscreteMeasureSpace(np.full(16, 1.0 / 16))
         f = SimpleFunction(space, rng.uniform(0.1, 1.0, 16))
-        fam = FunctionFamily(tuple("abcd"), (f, f, f, f))
+        fam = FunctionFamily.from_values(space, np.tile(f.values, (4, 1)), tuple("abcd"))
         r = pisier_bound(fam, 2.0)
         assert r.exact == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
         assert r.bound == pytest.approx(lp_norm(f, 2.0) * 2.0, rel=1e-12)
@@ -120,7 +122,7 @@ class TestEntropySumBound:
         space = DiscreteMeasureSpace(np.ones(2))
         f = SimpleFunction(space, np.array([2.0 ** -0.5, 0.0]))
         g = SimpleFunction(space, np.array([0.0, 2.0 ** -0.5]))
-        fam = FunctionFamily(("f", "g"), (f, g))
+        fam = FunctionFamily.from_values(space, np.stack([f.values, g.values]), ("f", "g"))
         assert lp_norm(f - g, 2.0) == pytest.approx(1.0, rel=1e-14)
         theta = 0.5
         rep = entropy_sum_bound(fam, 2.0, theta)
@@ -167,6 +169,76 @@ class TestOptimizeTheta:
         fam = random_nonneg_family(rng, 8, 32)
         rep = optimize_theta(fam, [0.3, 0.5, 0.7], p=4.0)
         assert rep.bound_value <= entropy_sum_bound(fam, 4.0, 0.5).bound_value + 1e-12
+
+
+class TestThetaSweeps:
+    """The theta sweeps share their theta-invariant work and must give the
+    reports the per-theta calls give."""
+
+    THETAS = (0.2, 0.3, 0.5, 0.7, 0.9)
+
+    @pytest.mark.parametrize("natural", [True, False], ids=["natural", "power1"])
+    def test_chained_product_bounds_equal_per_theta_calls(self, natural):
+        rng = make_rng(30)
+        for m in [1, 5, 12]:
+            fam = random_nonneg_family(rng, m, 32)
+            psi = natural_psi(fam, GRID) if natural else power(1.0)
+            for nu in [constant(), power(1.0)]:
+                swept = chained_product_bounds(fam, psi, nu, GRID, self.THETAS)
+                single = tuple(chained_product_bound(fam, psi, nu, GRID, theta)
+                               for theta in self.THETAS)
+                assert swept == single
+
+    @staticmethod
+    def count_semimetrics(monkeypatch):
+        import bgl.chaining
+
+        calls = []
+        real = bgl.chaining.family_semimetric
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bgl.chaining, "family_semimetric", counted)
+        return calls
+
+    @staticmethod
+    def first_min(reports):
+        best = None
+        for rep in reports:
+            if best is None or rep.bound_value < best.bound_value:
+                best = rep
+        return best
+
+    def test_optimize_theta_p_builds_one_metric(self, monkeypatch):
+        fam = random_nonneg_family(make_rng(26), 12, 32)
+        thetas = np.linspace(0.1, 0.9, 33)
+        expected = self.first_min(entropy_sum_bound(fam, 2.0, float(t)) for t in thetas)
+        calls = self.count_semimetrics(monkeypatch)
+        rep = optimize_theta(fam, thetas, p=2.0)
+        assert len(calls) == 1
+        assert rep == expected
+
+    def test_optimize_theta_psi_builds_one_metric(self, monkeypatch):
+        fam = random_nonneg_family(make_rng(31), 10, 32)
+        psi0 = natural_psi(fam, GRID)
+        expected = self.first_min(chained_product_bound(fam, psi0, power(1.0), GRID, t)
+                                  for t in self.THETAS)
+        calls = self.count_semimetrics(monkeypatch)
+        rep = optimize_theta(fam, self.THETAS, psi=psi0, nu=power(1.0), grid=GRID)
+        assert len(calls) == 1
+        assert rep == expected
+
+    def test_optimize_theta_keeps_the_first_minimum(self, monkeypatch):
+        import bgl.chaining
+
+        real = bgl.chaining.chained_product_bounds
+        monkeypatch.setattr(bgl.chaining, "chained_product_bounds", lambda *a, **k: tuple(
+            dataclasses.replace(rep, bound_value=1.0) for rep in real(*a, **k)))
+        rep = optimize_theta(disjoint_indicator_family(2), [0.7, 0.3, 0.5], psi=constant(),
+                             nu=constant(), grid=GRID)
+        assert rep.theta_star == 0.7
 
 
 class TestChainedProductBound:

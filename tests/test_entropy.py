@@ -74,6 +74,26 @@ class TestSemiMetric:
         with pytest.raises(DomainError):
             SemiMetric(d)
 
+    # a 130-point metric has 64-wide tiles at 0, 64 and a ragged 2-wide
+    # tile at 128; one perturbed cell in the upper or lower triangle of a
+    # diagonal tile, an off-diagonal tile, or the ragged last tile must fail
+    @pytest.mark.parametrize("cell", [(3, 10), (10, 3), (5, 100), (100, 5),
+                                      (128, 129), (129, 128), (2, 129), (129, 2)])
+    @pytest.mark.parametrize("trusted", [False, True])
+    def test_tiled_symmetry_check_finds_one_asymmetric_cell(self, cell, trusted):
+        d = unit_interval_metric(130).d.copy()
+        SemiMetric(d, trusted=trusted)
+        d[cell] += 1e-3
+        with pytest.raises(DomainError, match="symmetric"):
+            SemiMetric(d, trusted=trusted)
+
+    @pytest.mark.parametrize("cell", [(7, 7), (5, 100), (129, 2)])
+    def test_nan_cell_rejected(self, cell):
+        d = unit_interval_metric(130).d.copy()
+        d[cell] = np.nan
+        with pytest.raises(DomainError):
+            SemiMetric(d, trusted=True)
+
     def test_rejects_triangle_violation(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(DomainError):

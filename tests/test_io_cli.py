@@ -156,9 +156,9 @@ class TestScenarioConfig:
 
         from bgl import suite
 
-        real = suite.chained_product_bound
-        monkeypatch.setattr(suite, "chained_product_bound", lambda *a, **k: dataclasses.replace(
-            real(*a, **k), bound_value=0.0))
+        real = suite.chained_product_bounds
+        monkeypatch.setattr(suite, "chained_product_bounds", lambda *a, **k: tuple(
+            dataclasses.replace(rep, bound_value=0.0) for rep in real(*a, **k)))
         rec = suite.criterion_chained_bound(5, count=2, members=(4, 5), atoms=16,
                                             thetas=(0.5,))
         assert not rec.passed and rec.fields["violations"] == 4
@@ -198,12 +198,6 @@ class TestScenarioConfig:
     def test_shipped_config_passes(self, path, tmp_path):
         kind = load_scenario(path).kind
         assert cli_main([kind, "--config", str(path), "--out", str(tmp_path / "r.txt")]) == 0
-
-    def test_suite_has_one_record_per_criterion(self):
-        from bgl.suite import CRITERIA, run_suite
-
-        report = run_suite(seed=2, p_max=60.0)
-        assert len(report.records) == len(CRITERIA)
 
 
 class TestCli:

@@ -152,7 +152,7 @@ class TestBglNorm:
         rng = make_rng(1)
         f = SimpleFunction(unit_space(24), rng.uniform(0.2, 2.0, 24))
         grid = PGrid.log_spaced(1.05, 40, 48)
-        psi0 = natural_psi(FunctionFamily(("f",), (f,)), grid)
+        psi0 = natural_psi(FunctionFamily.from_values(f.space, f.values[None, :], ("f",)), grid)
         assert bgl_norm(f, psi0, grid).value == pytest.approx(1.0, abs=1e-14)
 
     def test_inverse_sqrt_discretization(self):
