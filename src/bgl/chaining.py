@@ -81,6 +81,14 @@ def _max_member_norm(family: FunctionFamily, pts: np.ndarray,
     return float(norms.max())
 
 
+def _lp_sides(family: FunctionFamily, p: float) -> tuple[float, float]:
+    """|max|Y|||_p and |sup Y|_p; on a nonnegative family the two sups are
+    one array, and its norm is taken once."""
+    top, signed = abs_sup(family), exact_sup(family)
+    exact = lp_norm(top, p)
+    return exact, exact if np.array_equal(top.values, signed.values) else lp_norm(signed, p)
+
+
 def _exact_sides(family: FunctionFamily, zeta: PsiFunction, grid: PGrid):
     """The refined ||max|Y|||_{G(zeta)} (with its argmax) and the grid-only
     G(zeta) norm of the signed sup."""
@@ -114,10 +122,11 @@ def pisier_bound(family: FunctionFamily, p: float) -> PisierResult:
     if p < 1:
         raise DomainError("p must be >= 1")
     mx = _max_member_norm(family, np.array([p], dtype=float))
+    exact, exact_signed = _lp_sides(family, p)
     return PisierResult(
         bound=mx * family.m ** (1.0 / p),
-        exact=lp_norm(abs_sup(family), p),
-        exact_signed=lp_norm(exact_sup(family), p),
+        exact=exact,
+        exact_signed=exact_signed,
         max_member_norm=mx,
     )
 
@@ -219,7 +228,7 @@ def entropy_sum_bound(family: FunctionFamily, p: float, theta: float,
         metric = family_semimetric(family, p=p)
     return _chaining_report(metric, theta, k_max, lambda n: n ** (1.0 / p),
                             _max_member_norm(family, np.array([p], dtype=float)),
-                            lp_norm(abs_sup(family), p), lp_norm(exact_sup(family), p))
+                            *_lp_sides(family, p))
 
 
 def chained_product_bound(family: FunctionFamily, psi: PsiFunction, nu: PsiFunction,

@@ -6,6 +6,11 @@ rule, which on a uniform periodic grid reproduces trigonometric polynomials
 of degree <= K/4 exactly.  The maximal operator sup_M |s_M| is not
 computable; it is approximated by running maxima over M <= M_max with a
 saturation check across increasing M_max.
+
+Each call builds one phase table exp(inx), n = -m..m, and reads both the
+coefficients and the partial sums from it.  Only the half n >= 0 is
+exponentiated; row -n is the complex conjugate of row n, which equals
+exp(-inx) bit for bit because the real part of the exponent is zero.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import DiscreteMeasureSpace, SimpleFunction
-from .norms import bgl_norm, lp_norm
+from .norms import bgl_norm, lp_norm_matrix
 from .psi import PGrid, PsiFunction, psi_fourier
 
 __all__ = [
@@ -84,28 +89,34 @@ def trig_poly_sample(coeffs_cos, coeffs_sin, k: int = 1024) -> FourierSample:
     return sample_function(fn, k)
 
 
+def _phases(sample: FourierSample, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2m+1, K) table exp(inx) and the coefficients c(n) it gives, for
+    n = -m..m; row and index j hold n = j - m (see `fourier_coefficients`)."""
+    if m > sample.k_points // 4:
+        raise DomainError(
+            f"m={m} too large for K={sample.k_points}; need m <= K/4 to avoid aliasing"
+        )
+    phase = np.zeros((2 * m + 1, sample.k_points), dtype=complex)
+    half = phase[m:]
+    np.multiply.outer(np.arange(m + 1), sample.x, out=half.imag)
+    np.exp(half, out=half)
+    np.conj(phase[:m:-1], out=phase[:m])
+    return phase, phase @ (sample.space.weights * sample.values)
+
+
 def fourier_coefficients(sample: FourierSample, m: int) -> np.ndarray:
     """c(n) = int_{-pi}^{pi} exp(inx) f(x) dx for n = -m..m (trapezoid rule).
 
     Index j of the returned array holds c(j - m).  Requires m <= K/4 so the
     quadrature stays alias-free on the functions of interest.
     """
-    if m > sample.k_points // 4:
-        raise DomainError(
-            f"m={m} too large for K={sample.k_points}; need m <= K/4 to avoid aliasing"
-        )
-    ns = np.arange(-m, m + 1)
-    phase = np.exp(1j * np.outer(ns, sample.x))
-    w = sample.space.weights
-    return phase @ (w * sample.values)
+    return _phases(sample, m)[1]
 
 
 def partial_sum(sample: FourierSample, m: int) -> SimpleFunction:
     """s_m[f](x) = (1/2pi) sum_{|n|<=m} c(n) exp(-inx), evaluated on the grid."""
-    c = fourier_coefficients(sample, m)
-    ns = np.arange(-m, m + 1)
-    phase = np.exp(-1j * np.outer(sample.x, ns))
-    vals = (phase @ c).real / (2.0 * math.pi)
+    phase, c = _phases(sample, m)
+    vals = (c @ np.conj(phase)).real / (2.0 * math.pi)
     return SimpleFunction(sample.space, vals)
 
 
@@ -113,15 +124,15 @@ def _running_maxima(sample: FourierSample, checkpoints) -> dict:
     """Running max of |s_M| for M = 1..max(checkpoints), snapshotted at each
     checkpoint; one incremental pass over the coefficients."""
     m_top = max(checkpoints)
-    c = fourier_coefficients(sample, m_top)
+    phase, c = _phases(sample, m_top)
     mid = m_top  # index of c(0)
     s = np.full(sample.k_points, c[mid].real / (2.0 * math.pi))
     running = np.zeros(sample.k_points)
     out = {}
     todo = sorted(set(int(m) for m in checkpoints))
     for m in range(1, m_top + 1):
-        term = (c[mid + m] * np.exp(-1j * m * sample.x)
-                + c[mid - m] * np.exp(1j * m * sample.x)).real / (2.0 * math.pi)
+        term = (c[mid + m] * phase[mid - m]
+                + c[mid - m] * phase[mid + m]).real / (2.0 * math.pi)
         s = s + term
         np.maximum(running, np.abs(s), out=running)
         if todo and m == todo[0]:
@@ -169,16 +180,17 @@ def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
     if pts[0] <= 1.0:
         raise DomainError("the weight needs p > 1; start the grid above 1")
     f = sample.as_function()
-    f_norms = lp_norm(f, pts)
     weight = pts ** 4 / (pts - 1.0) ** 2
     maxima = _running_maxima(sample, m_list)
+    # row 0 is f, row 1 + j the running maximum at m_list[j]
+    norms = lp_norm_matrix(np.stack([f.values] + [maxima[m].values for m in m_list]),
+                           sample.space.weights, pts)
     rho_rows = []
     ok = True
     for i, p in enumerate(pts):
         row = []
-        for m in m_list:
-            star_norm = lp_norm(maxima[m], float(p))
-            row.append((m, star_norm / (weight[i] * f_norms[i])))
+        for j, m in enumerate(m_list):
+            row.append((m, norms[1 + j, i] / (weight[i] * norms[0, i])))
         values = [r for _, r in row]
         if len(values) >= 2:
             # growth test: the final value must not escape the earlier plateau

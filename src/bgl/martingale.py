@@ -6,6 +6,12 @@ so every expectation below is an exact finite sum.  The martingale property
 is verified at construction by conditioning on each prefix.  Monte Carlo
 path spaces (weight 1/n_paths) are supported for long horizons but skip the
 exact conditional check.
+
+An F_n-measurable quantity (S_1..S_n, their running max) is constant on
+each of the base^n prefix blocks of the enumerated space, so its norms are
+taken on those blocks as atoms, each weighing the total of its paths
+(`MartingaleEnsemble.level`).  A Monte Carlo ensemble has no such blocks
+and evaluates every quantity on all its paths.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, SizeError
 from .measure import DiscreteMeasureSpace, SimpleFunction
-from .norms import bgl_norm, lp_norm
+from .norms import bgl_norm, lp_norm_matrix
 from .psi import PGrid, PsiFunction, psi_doob
 
 __all__ = [
@@ -46,6 +52,7 @@ class MartingaleEnsemble:
     s_values: np.ndarray          # (n_paths, horizon)
     sigma: np.ndarray             # sigma(n) = Var(S_n)^{1/2}, n = 1..horizon
     exhaustive: bool
+    base: int                     # number of increment values
 
     @property
     def horizon(self) -> int:
@@ -60,6 +67,21 @@ class MartingaleEnsemble:
         if not (1 <= n <= self.horizon):
             raise DomainError(f"n={n} outside 1..{self.horizon}")
         return SimpleFunction(self.space, np.max(np.abs(self.s_values[:, :n]), axis=1))
+
+    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, S_1..S_n per atom) on the atoms of F_n.
+
+        On an enumerated space these are the base^n prefix blocks (paths
+        are ordered most-significant step first, so each block is
+        contiguous); a Monte Carlo ensemble, and n = horizon, return the
+        full path space.
+        """
+        if not (1 <= n <= self.horizon):
+            raise DomainError(f"n={n} outside 1..{self.horizon}")
+        if not self.exhaustive or n == self.horizon:
+            return self.space.weights, self.s_values[:, :n]
+        return (self.space.weights.reshape(self.base ** n, -1).sum(axis=1),
+                self.s_values[::self.base ** (self.horizon - n), :n])
 
 
 def _verify_martingale(s: np.ndarray, probs: np.ndarray, n_values: int, tol: float = 1e-12):
@@ -135,7 +157,7 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None,
     else:
         sigma = np.sqrt(var_step * ns)
     return MartingaleEnsemble(space=DiscreteMeasureSpace(weights), s_values=s,
-                              sigma=sigma, exhaustive=exhaustive)
+                              sigma=sigma, exhaustive=exhaustive, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +248,16 @@ class DoobReport:
 
 
 def doob_check(ens: MartingaleEnsemble, p: float, n: int) -> DoobReport:
-    """|max_{k<=n} |S_k||_p <= (p/(p-1)) max_{k<=n} |S_k|_p, exactly."""
+    """|max_{k<=n} |S_k||_p <= (p/(p-1)) max_{k<=n} |S_k|_p, exactly.
+
+    Both sides are F_n-measurable and are evaluated on F_n's atoms.
+    """
     if p <= 1:
         raise DomainError("Doob inequality needs p > 1")
-    lhs = lp_norm(ens.running_abs_max(n), p)
-    member = max(lp_norm(ens.s_at(k), p) for k in range(1, n + 1))
+    weights, s = ens.level(n)
+    ps = np.array([p], dtype=float)
+    lhs = float(lp_norm_matrix(np.abs(s).max(axis=1)[None, :], weights, ps)[0, 0])
+    member = float(lp_norm_matrix(s.T, weights, ps).max())
     return DoobReport(p=p, n=n, max_norm=lhs, member_norm_max=member,
                       ratio=lhs / member, cap=p / (p - 1.0))
 
@@ -292,13 +319,15 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
     horizon = ens.horizon
     psi_vals = psi.eval(pts)
 
-    # kappa = sup_n ||S_n / sigma(n)||_{G(psi)}: one ratio matrix, reused below
-    norm_matrix = np.stack([lp_norm(ens.s_at(n), pts) for n in range(1, horizon + 1)])
+    # kappa = sup_n ||S_n / sigma(n)||_{G(psi)}: one ratio matrix, reused
+    # below; row n is taken on the atoms of F_n
+    levels = [ens.level(n) for n in range(1, horizon + 1)]
+    norm_matrix = np.concatenate([lp_norm_matrix(s[:, -1][None, :], w, pts)
+                                  for w, s in levels])
     kappa = float(np.max(norm_matrix / ens.sigma[:, None] / psi_vals[None, :]))
 
     sig = ens.sigma
     vv = v(np.arange(1, horizon + 1, dtype=float))
-    scaled = np.abs(ens.s_values) / (sig * vv)[None, :]
 
     blocks = []
     all_pass = True
@@ -307,8 +336,10 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
     while 2 ** (k - 1) <= horizon:
         a = 2 ** (k - 1)
         b = min(2 ** k - 1, horizon)
-        tau_k = SimpleFunction(ens.space, np.max(scaled[:, a - 1:b], axis=1))
-        lhs = lp_norm(tau_k, pts)
+        # tau_k is F_b-measurable
+        w_b, s_b = levels[b - 1]
+        tau_k = np.max(np.abs(s_b[:, a - 1:]) / (sig * vv)[None, a - 1:b], axis=1)
+        lhs = lp_norm_matrix(tau_k[None, :], w_b, pts)[0]
         doob_rhs = (pts / (pts - 1.0)) * norm_matrix[b - 1] / (vv[a - 1] * sig[a - 1])
         doob_margin = float(np.min(doob_rhs - lhs))
         moment_margin = float(np.min(kappa * psi_vals * sig[b - 1] - norm_matrix[b - 1]))

@@ -82,6 +82,56 @@ class TestPisier:
             pisier_bound(disjoint_indicator_family(2), 0.5)
 
 
+class TestLpSignedSide:
+    """pisier_bound and entropy_sum_bound take the signed side's norm from
+    the abs side when the two sups are one array."""
+
+    @staticmethod
+    def count_norms(monkeypatch):
+        import bgl.chaining
+
+        calls = []
+        real = bgl.chaining.lp_norm
+
+        def counted(f, p):
+            calls.append(f)
+            return real(f, p)
+
+        monkeypatch.setattr(bgl.chaining, "lp_norm", counted)
+        return calls
+
+    @staticmethod
+    def sides(bound, fam, p):
+        if bound == "pisier":
+            rep = pisier_bound(fam, p)
+            return rep.exact, rep.exact_signed
+        rep = entropy_sum_bound(fam, p, 0.5)
+        return rep.exact_sup_norm, rep.exact_signed_norm
+
+    @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
+    def test_nonnegative_family_one_norm(self, monkeypatch, bound):
+        fam = random_nonneg_family(make_rng(17), 9, 40)
+        calls = self.count_norms(monkeypatch)
+        for p in (1.0, 2.5, 9.0):
+            calls.clear()
+            exact, signed = self.sides(bound, fam, p)
+            assert len(calls) == 1
+            assert exact == signed == lp_norm(exact_sup(fam), p)
+
+    @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
+    def test_signed_family_two_norms(self, monkeypatch, bound):
+        base = random_nonneg_family(make_rng(18), 9, 40)
+        fam = FunctionFamily.from_values(base.space, base.values_matrix() - 0.6)
+        calls = self.count_norms(monkeypatch)
+        for p in (1.0, 2.5, 9.0):
+            calls.clear()
+            exact, signed = self.sides(bound, fam, p)
+            assert len(calls) == 2
+            assert exact == lp_norm(abs_sup(fam), p)
+            assert signed == lp_norm(exact_sup(fam), p)
+            assert signed != exact
+
+
 class TestGeneralizedPisier:
     def test_single_member(self):
         fam = disjoint_indicator_family(1)

@@ -63,6 +63,47 @@ class TestCoefficients:
             assert np.max(np.abs(sm.values - s.values)) < 1e-10
 
 
+def _phase_samples(k):
+    a, b = random_trig_coeffs(make_rng(k), 9)
+    return [square_wave_sample(k), trig_poly_sample(a, b, k),
+            sample_function(lambda x: np.exp(np.sin(3.0 * x)) - x, k)]
+
+
+class TestPhaseTable:
+    """The conjugate half-table gives the same bits as exponentiating every row."""
+
+    @pytest.mark.parametrize("k", [8, 64, 1024, 4096])
+    def test_coefficients_equal_full_exponential(self, k):
+        m = k // 4
+        samples = _phase_samples(k)
+        full = np.exp(1j * np.outer(np.arange(-m, m + 1), samples[0].x))
+        for s in samples:
+            expected = full @ (s.space.weights * s.values)
+            assert np.array_equal(fourier_coefficients(s, m), expected)
+
+    @pytest.mark.parametrize("k", [64, 1024, 4096])
+    def test_running_maxima_equal_per_step_exponentials(self, k):
+        checkpoints = sorted({1, 5, k // 16, min(k // 4, 256)})
+        for s in _phase_samples(k):
+            # the incremental pass with two exponentials per step
+            m_top = max(checkpoints)
+            c = fourier_coefficients(s, m_top)
+            cur = np.full(k, c[m_top].real / (2.0 * math.pi))
+            running = np.zeros(k)
+            expected = {}
+            for m in range(1, m_top + 1):
+                term = (c[m_top + m] * np.exp(-1j * m * s.x)
+                        + c[m_top - m] * np.exp(1j * m * s.x)).real / (2.0 * math.pi)
+                cur = cur + term
+                np.maximum(running, np.abs(cur), out=running)
+                if m in checkpoints:
+                    expected[m] = running.copy()
+            got = maximal_partial_sums(s, checkpoints)
+            assert sorted(got) == checkpoints
+            for m in checkpoints:
+                assert np.array_equal(got[m].values, expected[m]), m
+
+
 class TestMaximalPartialSum:
     def test_constant_function(self):
         s = sample_function(lambda x: np.ones_like(x), 256)
@@ -130,6 +171,21 @@ class TestMaximalRatio:
         rep = maximal_ratio_check(s, constant(), self.grid(), [16, 32, 64, 128])
         assert rep.passed
         assert rep.norm_ratio > 0
+
+    def test_rho_matches_scalar_norms(self):
+        # the batched norms land in the right (p, m) cells
+        s = _phase_samples(1024)[1]
+        grid = self.grid()
+        m_list = [8, 16, 32, 64]
+        rep = maximal_ratio_check(s, constant(), grid, m_list)
+        maxima = maximal_partial_sums(s, m_list)
+        f = s.as_function()
+        assert [p for p, _ in rep.rho] == list(grid.points)
+        for p, row in rep.rho:
+            assert [m for m, _ in row] == m_list
+            for m, r in row:
+                expected = lp_norm(maxima[m], p) / (p ** 4 / (p - 1.0) ** 2 * lp_norm(f, p))
+                assert r == pytest.approx(expected, rel=4e-15, abs=0)
 
     def test_random_trig_polys_saturate(self):
         rng = make_rng(42)
