@@ -33,7 +33,6 @@ from .norms import (
     MriNormSpec,
     bgl_norm,
     fundamental_function,
-    lp_norm,
     lp_norm_matrix,
     mri_norm,
 )
@@ -71,22 +70,20 @@ def abs_sup(family: FunctionFamily) -> SimpleFunction:
     return SimpleFunction(family.space, np.abs(family.values_matrix()).max(axis=0))
 
 
-def _max_member_norm(family: FunctionFamily, pts: np.ndarray,
-                     psi: PsiFunction | None = None) -> float:
-    """max over members t and points p of |Y(t)|_p / psi(p) (psi = 1 when
-    omitted), one batched kernel call."""
+def _max_member_norm(family: FunctionFamily, pts: np.ndarray, psi: PsiFunction) -> float:
+    """max over members t and points p of |Y(t)|_p / psi(p), one batched
+    kernel call."""
     norms = lp_norm_matrix(family.values_matrix(), family.space.weights, pts)
-    if psi is not None:
-        norms = norms / psi.eval(pts)
-    return float(norms.max())
+    return float((norms / psi.eval(pts)).max())
 
 
-def _lp_sides(family: FunctionFamily, p: float) -> tuple[float, float]:
-    """|max|Y|||_p and |sup Y|_p; on a nonnegative family the two sups are
-    one array, and its norm is taken once."""
-    top, signed = abs_sup(family), exact_sup(family)
-    exact = lp_norm(top, p)
-    return exact, exact if np.array_equal(top.values, signed.values) else lp_norm(signed, p)
+def _lp_norms(family: FunctionFamily, p: float) -> tuple[float, float, float]:
+    """max_t |Y(t)|_p, |max|Y|||_p and |sup Y|_p from one kernel call over
+    the members, the pointwise max of |Y| and the pointwise sup."""
+    values = family.values_matrix()
+    rows = np.vstack([values, np.abs(values).max(axis=0), values.max(axis=0)])
+    norms = lp_norm_matrix(rows, family.space.weights, np.array([p], dtype=float))[:, 0]
+    return float(norms[:-2].max()), float(norms[-2]), float(norms[-1])
 
 
 def _exact_sides(family: FunctionFamily, zeta: PsiFunction, grid: PGrid):
@@ -121,8 +118,7 @@ def pisier_bound(family: FunctionFamily, p: float) -> PisierResult:
     """max_j |Y_j|_p * m^{1/p} against the exact norm of the pointwise max."""
     if p < 1:
         raise DomainError("p must be >= 1")
-    mx = _max_member_norm(family, np.array([p], dtype=float))
-    exact, exact_signed = _lp_sides(family, p)
+    mx, exact, exact_signed = _lp_norms(family, p)
     return PisierResult(
         bound=mx * family.m ** (1.0 / p),
         exact=exact,
@@ -227,8 +223,7 @@ def entropy_sum_bound(family: FunctionFamily, p: float, theta: float,
     if metric is None:
         metric = family_semimetric(family, p=p)
     return _chaining_report(metric, theta, k_max, lambda n: n ** (1.0 / p),
-                            _max_member_norm(family, np.array([p], dtype=float)),
-                            *_lp_sides(family, p))
+                            *_lp_norms(family, p))
 
 
 def chained_product_bound(family: FunctionFamily, psi: PsiFunction, nu: PsiFunction,
@@ -413,7 +408,7 @@ def exp_orlicz_bound(family: FunctionFamily, a: float, beta1: float, beta2: floa
     gamma = beta2 - beta1
     psi1 = power(beta1, a=a)
     psi2 = power(beta2, a=a)
-    grid = PGrid.inside(psi1, n=96, p_max_cap=200.0)
+    grid = PGrid.inside(psi1, n=96)
     member = max(bgl_norm(f, psi1, grid).value for f in family.members)
     exact = bgl_norm(abs_sup(family), psi2, grid).value
     metric = family_semimetric(family, psi=psi1, grid=grid)

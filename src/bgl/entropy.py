@@ -127,31 +127,27 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
     The grand Lebesgue variant evaluates member and difference norms on the
     same grid without refinement, which keeps d <= 2 sigma and the triangle
     inequality exact up to rounding; a diameter above 2 sigma (beyond
-    rounding) raises.  All pairs go through one batched norm evaluation.
+    rounding) raises.  Row t is one kernel call over Y(t) - Y(s), s > t.
     """
     if (p is None) == (psi is None):
         raise DomainError("pass exactly one of p= or psi=/grid=")
-    values = family.values_matrix()
-    weights = family.space.weights
-    m = family.m
-    iu, ju = np.triu_indices(m, k=1)
-    diffs = values[iu] - values[ju]
-    d = np.zeros((m, m))
     if p is not None:
-        ps = np.atleast_1d(float(p))
-        norms = lp_norm_matrix(values, weights, ps)[:, 0]
-        if iu.size:
-            d[iu, ju] = d[ju, iu] = lp_norm_matrix(diffs, weights, ps)[:, 0]
+        pts, scale = np.array([p], dtype=float), 1.0
     else:
         if grid is None:
             raise DomainError("the grand Lebesgue variant needs a grid")
         if not psi.contains_grid(grid):
             raise DomainError("grid not inside the support of psi")
-        psi_vals = psi.eval(grid.points)
-        norms = (lp_norm_matrix(values, weights, grid.points) / psi_vals).max(axis=1)
-        if iu.size:
-            pair = (lp_norm_matrix(diffs, weights, grid.points) / psi_vals).max(axis=1)
-            d[iu, ju] = d[ju, iu] = pair
+        pts, scale = grid.points, psi.eval(grid.points)
+    values = family.values_matrix()
+    weights = family.space.weights
+    m = family.m
+    norms = (lp_norm_matrix(values, weights, pts) / scale).max(axis=1)
+    d = np.zeros((m, m))
+    for i in range(m - 1):
+        d[i, i + 1:] = (lp_norm_matrix(values[i] - values[i + 1:], weights, pts)
+                        / scale).max(axis=1)
+    d += d.T
     metric = SemiMetric(d)
     sigma = float(norms.max())
     if metric.diameter > 2.0 * sigma * (1.0 + 1e-9) + 1e-15:

@@ -17,7 +17,6 @@ from .measure import DiscreteMeasureSpace, FunctionFamily
 
 __all__ = [
     "make_rng",
-    "random_space",
     "random_nonneg_family",
     "disjoint_indicator_family",
     "random_plane_metric",
@@ -34,17 +33,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 64 - 1)))
 
 
-def random_space(rng: np.random.Generator, n_atoms: int) -> DiscreteMeasureSpace:
-    """Atom weights of total mass about 1, bounded away from zero."""
-    w = rng.uniform(0.5, 1.5, size=n_atoms) / n_atoms
-    return DiscreteMeasureSpace(w)
-
-
 def random_nonneg_family(rng: np.random.Generator, m: int, n_atoms: int = 48,
                          space: DiscreteMeasureSpace | None = None) -> FunctionFamily:
-    """m nonnegative members with O(1) values and O(1) mutual distances."""
+    """m nonnegative members with O(1) values and O(1) mutual distances, on
+    atom weights of total mass about 1 bounded away from zero by default."""
     if space is None:
-        space = random_space(rng, n_atoms)
+        space = DiscreteMeasureSpace(rng.uniform(0.5, 1.5, size=n_atoms) / n_atoms)
     values = rng.uniform(0.0, 1.0, size=(m, space.n_atoms))
     return FunctionFamily.from_values(space, values)
 

@@ -97,16 +97,16 @@ class PGrid:
         return PGrid(np.geomspace(lo, hi, n))
 
     @staticmethod
-    def inside(psi: PsiFunction, n: int = 128, p_max_cap: float = 200.0,
-               edge: float = 1e-3) -> "PGrid":
-        """Log-spaced grid strictly inside the support of psi."""
+    def inside(psi: PsiFunction, n: int = 128, p_max_cap: float = 200.0) -> "PGrid":
+        """Log-spaced grid strictly inside the support of psi, 1e-3 of the
+        support's width (or of max(1, a) when unbounded) from each end."""
         a, b = psi.a, psi.b
         if math.isinf(b):
-            lo = a + edge * max(1.0, a)
+            lo = a + 1e-3 * max(1.0, a)
             hi = p_max_cap
         else:
-            lo = a + edge * (b - a)
-            hi = b - edge * (b - a)
+            lo = a + 1e-3 * (b - a)
+            hi = b - 1e-3 * (b - a)
         return PGrid.log_spaced(lo, hi, n, p_max_cap=p_max_cap)
 
     def with_extra(self, extra) -> np.ndarray:
@@ -248,7 +248,7 @@ class LogConvexityReport:
     tol: float = 1e-9
 
 
-def check_log_convex(psi: PsiFunction, grid: PGrid, tol: float = 1e-9) -> LogConvexityReport:
+def check_log_convex(psi: PsiFunction, grid: PGrid) -> LogConvexityReport:
     """Midpoint log-convexity of psi in the variable u = 1/p over grid triples.
 
     Every moment function p -> |f|_p obeys Lyapunov's inequality
@@ -277,5 +277,5 @@ def check_log_convex(psi: PsiFunction, grid: PGrid, tol: float = 1e-9) -> LogCon
                 worst = float(excess[jmax])
                 worst_triple = (float(pts[i]), float(pts[js[jmax]]), float(pts[k]))
     violation = math.expm1(worst)
-    return LogConvexityReport(passed=violation <= tol, worst_violation=violation,
-                              worst_triple=worst_triple, tol=tol)
+    return LogConvexityReport(passed=violation <= 1e-9, worst_violation=violation,
+                              worst_triple=worst_triple)

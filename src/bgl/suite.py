@@ -193,7 +193,7 @@ def criterion_indicator(seed: int, p_max: float = 200.0, *, atoms: int = 256,
     ok = True
     for delta in deltas:
         for psi in psis:
-            rep = indicator_norm_check(space, delta, psi, grid, tol=1e-9)
+            rep = indicator_norm_check(space, delta, psi, grid)
             worst = max(worst, rep.rel_diff)
             ok = ok and rep.passed
     return Record("fundamental_function_consistency", ok,

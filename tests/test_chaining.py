@@ -83,53 +83,55 @@ class TestPisier:
 
 
 class TestLpSignedSide:
-    """pisier_bound and entropy_sum_bound take the signed side's norm from
-    the abs side when the two sups are one array."""
+    """pisier_bound and entropy_sum_bound read the member, abs-sup and
+    signed-sup L_p norms from one kernel call, whatever the family's signs."""
 
     @staticmethod
-    def count_norms(monkeypatch):
+    def count_kernel(monkeypatch):
         import bgl.chaining
 
         calls = []
-        real = bgl.chaining.lp_norm
+        real = bgl.chaining.lp_norm_matrix
 
-        def counted(f, p):
-            calls.append(f)
-            return real(f, p)
+        def counted(values, weights, ps):
+            calls.append(np.shape(values))
+            return real(values, weights, ps)
 
-        monkeypatch.setattr(bgl.chaining, "lp_norm", counted)
+        monkeypatch.setattr(bgl.chaining, "lp_norm_matrix", counted)
         return calls
 
     @staticmethod
     def sides(bound, fam, p):
         if bound == "pisier":
             rep = pisier_bound(fam, p)
-            return rep.exact, rep.exact_signed
+            return rep.exact, rep.exact_signed, rep.max_member_norm
         rep = entropy_sum_bound(fam, p, 0.5)
-        return rep.exact_sup_norm, rep.exact_signed_norm
+        return rep.exact_sup_norm, rep.exact_signed_norm, rep.anchor
 
     @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
     def test_nonnegative_family_one_norm(self, monkeypatch, bound):
         fam = random_nonneg_family(make_rng(17), 9, 40)
-        calls = self.count_norms(monkeypatch)
+        calls = self.count_kernel(monkeypatch)
         for p in (1.0, 2.5, 9.0):
             calls.clear()
-            exact, signed = self.sides(bound, fam, p)
-            assert len(calls) == 1
+            exact, signed, member = self.sides(bound, fam, p)
+            assert calls == [(fam.m + 2, 40)]
             assert exact == signed == lp_norm(exact_sup(fam), p)
+            assert member == max(lp_norm(f, p) for f in fam.members)
 
     @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
     def test_signed_family_two_norms(self, monkeypatch, bound):
         base = random_nonneg_family(make_rng(18), 9, 40)
         fam = FunctionFamily.from_values(base.space, base.values_matrix() - 0.6)
-        calls = self.count_norms(monkeypatch)
+        calls = self.count_kernel(monkeypatch)
         for p in (1.0, 2.5, 9.0):
             calls.clear()
-            exact, signed = self.sides(bound, fam, p)
-            assert len(calls) == 2
+            exact, signed, member = self.sides(bound, fam, p)
+            assert calls == [(fam.m + 2, 40)]
             assert exact == lp_norm(abs_sup(fam), p)
             assert signed == lp_norm(exact_sup(fam), p)
             assert signed != exact
+            assert member == max(lp_norm(f, p) for f in fam.members)
 
 
 class TestGeneralizedPisier:

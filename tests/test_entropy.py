@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from bgl.fixtures import (
     unit_interval_metric,
     unit_square_metric,
 )
-from bgl.measure import DiscreteMeasureSpace, FunctionFamily
-from bgl.norms import natural_psi
+from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction
+from bgl.norms import lp_norm, natural_psi
 from bgl.psi import PGrid, constant, power
 
 
@@ -118,6 +119,50 @@ class TestSemiMetric:
         psi0 = natural_psi(fam, grid)
         metric = family_semimetric(fam, psi=psi0, grid=grid)
         assert metric.diameter <= 2.0 + 1e-9
+
+
+class TestFamilySemimetricCells:
+    """Every cell of d_p and d_psi is the norm of one difference, computed
+    on its own."""
+
+    @staticmethod
+    def signed_family():
+        base = random_nonneg_family(make_rng(23), 11, 40)
+        return FunctionFamily.from_values(base.space, base.values_matrix() - 0.5)
+
+    @staticmethod
+    def diff(fam, i, j):
+        values = fam.values_matrix()
+        return SimpleFunction(fam.space, values[i] - values[j])
+
+    @pytest.mark.parametrize("p", [1.0, 2.5, 9.0])
+    def test_dp_cells_are_single_norms(self, p):
+        fam = self.signed_family()
+        d = family_semimetric(fam, p=p).d
+        for i, j in itertools.product(range(fam.m), repeat=2):
+            assert d[i, j] == lp_norm(self.diff(fam, i, j), p), (i, j)
+
+    def test_dpsi_cells_are_grid_maxima(self):
+        fam = self.signed_family()
+        grid = PGrid.log_spaced(1.05, 60, 32)
+        for psi in (power(0.5), natural_psi(fam, grid)):
+            d = family_semimetric(fam, psi=psi, grid=grid).d
+            scale = psi.eval(grid.points)
+            for i, j in itertools.product(range(fam.m), repeat=2):
+                cell = np.max(lp_norm(self.diff(fam, i, j), grid.points) / scale)
+                assert d[i, j] == cell, (psi.label, i, j)
+
+    def test_peak_memory_holds_no_pair_tensor(self):
+        # 4,560 pairs x 64 p x 256 atoms: 570 MiB as one power tensor
+        fam = random_nonneg_family(make_rng(24), 96, 256)
+        grid = PGrid.log_spaced(1.05, 200, 64)
+        tracemalloc.start()
+        try:
+            family_semimetric(fam, psi=constant(), grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, peak
 
 
 class TestCoveringNumber:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bgl.errors import ConstructionError, DomainError, PreconditionError
+from bgl import norms
 from bgl.fixtures import make_rng, random_nonneg_family, sqrt_singularity_function
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction, indicator
 from bgl.norms import (
@@ -110,6 +112,48 @@ class TestKernelOracle:
 
     def test_single_atom_space(self):
         self.check(np.array([[2.5], [-1e-300], [1e300], [0.0]]), np.array([0.375]))
+
+
+class TestKernelChunks:
+    """lp_norm_matrix walks its rows in chunks whose power tensor stays under
+    norms._KERNEL_BYTES; rows are independent, so chunking moves no bit."""
+
+    def test_chunks_equal_row_calls(self):
+        ps = np.geomspace(1.0, 200.0, 64)
+        rng = make_rng(31)
+        w = rng.uniform(0.1, 2.0, 256)
+        step = norms._KERNEL_BYTES // (8 * ps.size * w.size)
+        # three full chunks, the second all zero, then a ragged last chunk
+        values = rng.uniform(-3.0, 3.0, (3 * step + step // 2 + 1, w.size))
+        values[step:2 * step] = 0.0
+        values[2 * step, :7] = 0.0
+        got = lp_norm_matrix(values, w, ps)
+        rows = np.vstack([lp_norm_matrix(v[None, :], w, ps) for v in values])
+        assert np.array_equal(got, rows)
+        assert np.all(got[step:2 * step] == 0.0) and np.all(got[2 * step:] > 0.0)
+
+    def test_row_larger_than_budget(self):
+        ps = np.geomspace(1.0, 200.0, 48)
+        rng = make_rng(32)
+        n = 65_536
+        assert 8 * ps.size * n > norms._KERNEL_BYTES
+        v, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 1.5, n) / n
+        got = lp_norm_matrix(v[None, :], w, ps)[0]
+        top = np.abs(v).max()
+        ref = top * np.array([np.dot(w, (np.abs(v) / top) ** p) ** (1.0 / p) for p in ps])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_peak_memory_within_budget(self):
+        ps = np.geomspace(1.0, 200.0, 64)
+        rng = make_rng(33)
+        values, w = rng.uniform(0.0, 1.0, (600, 256)), np.full(256, 1.0 / 256)
+        tracemalloc.start()
+        try:
+            out = lp_norm_matrix(values, w, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * norms._KERNEL_BYTES + out.nbytes, peak
 
 
 @settings(max_examples=60, deadline=None)
