@@ -54,8 +54,6 @@ def lp_norm(f: SimpleFunction, p) -> float | np.ndarray:
     Factoring out max|f_i| keeps |f_i|^p representable for large p.
     """
     ps = np.asarray(p, dtype=float)
-    if np.any(ps < 1.0):
-        raise DomainError(f"p must be >= 1, got {p}")
     out = lp_norm_matrix(f.values[None, :], f.space.weights, np.atleast_1d(ps))[0]
     return float(out[0]) if ps.ndim == 0 else out
 
@@ -67,18 +65,26 @@ def lp_norm_matrix(values: np.ndarray, weights: np.ndarray, ps: np.ndarray) -> n
     After max-factoring every ratio lies in [0, 1] and the max atom adds its
     full weight, so the weighted sum of powers neither overflows nor
     underflows to zero.  Rows are independent, so they are walked in chunks
-    whose power tensor stays under ``_KERNEL_BYTES`` (one row at least).
+    whose power tensor stays under ``_KERNEL_BYTES`` (one row at least), and
+    a subset of rows gets bit-identical norms; a subset of ``ps`` does not.
+    Raises DomainError for p < 1 and for a row holding NaN or inf, which the
+    row max (NaN propagates through it) already exposes.
     """
-    av = np.abs(np.asarray(values, dtype=float))
-    out = np.zeros((av.shape[0], ps.size))
+    if ps.size and not ps.min() >= 1.0:
+        raise DomainError(f"p must be >= 1, got {ps.min()}")
+    av = np.abs(np.ascontiguousarray(values, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    out = np.empty((av.shape[0], ps.size))
     step = max(1, _KERNEL_BYTES // (8 * max(1, ps.size * av.shape[1])))
     for lo in range(0, av.shape[0], step):
         chunk = av[lo:lo + step]
-        m = chunk.max(axis=1)
-        live = m > 0.0
-        ratios = chunk[live] / m[live, None]
-        sums = np.power(ratios[:, None, :], ps[None, :, None]) @ np.asarray(weights, dtype=float)
-        out[lo:lo + step][live] = m[live, None] * sums ** (1.0 / ps[None, :])
+        m = chunk.max(axis=1, keepdims=True)
+        if not np.isfinite(m).all():
+            raise DomainError("L_p norm of a function with a NaN or infinite value")
+        # a zero row is divided by 1 and comes out 0 at every p
+        ratios = chunk / np.where(m > 0.0, m, 1.0)
+        sums = np.power(ratios[:, None, :], ps[None, :, None]) @ w
+        out[lo:lo + step] = m * sums ** (1.0 / ps)
     return out
 
 
@@ -164,20 +170,47 @@ def natural_psi(family: FunctionFamily, grid: PGrid) -> PsiFunction:
     """The tightest generating function for a family: psi0(p) = max_t |Y(t)|_p.
 
     The evaluator closes over the family's value matrix, so psi0 is exact at
-    every p (the grid only certifies finiteness up front).  By construction
-    the family has sup_t ||Y(t)||_{G(psi0)} = 1 on any grid inside the support.
+    every p; the grid certifies up front that psi0 is finite and positive
+    (a family of zero members has no natural psi).  By construction the
+    family has sup_t ||Y(t)||_{G(psi0)} = 1 on any grid inside the support.
+
+    The evaluator does only the work its answer depends on, and every value
+    is the one the full kernel call would give, bit for bit:
+
+    * a request of exactly ``grid.points`` is answered from the grid table
+      (a column subset of a multi-p kernel call is not bit-identical, so no
+      other request is);
+    * by Lyapunov's inequality n_t(p) = |Y(t)|_p M^(-1/p), M the total mass,
+      is nondecreasing in p.  For a request inside [g_i, g_j], g_i and g_j
+      grid points, member t can attain the max only if
+      n_t(g_j) >= max_s n_s(g_i); the others are not evaluated.  The margin
+      1e-12 is over 1000x the kernel's error, and the norms of a subset of
+      rows are bit-identical to the full call's.
     """
     if family.m < 1:
         raise DomainError("empty family")
     values = family.values_matrix()
     weights = family.space.weights
-    probe = lp_norm_matrix(values, weights, grid.points)
-    if not np.all(np.isfinite(probe)):
+    pts = grid.points
+    probe = lp_norm_matrix(values, weights, pts)
+    top = probe.max(axis=0)
+    if not np.all(np.isfinite(top)):
         raise DomainError("family has non-finite L_p norms on the grid")
+    if not np.all(top > 0.0):
+        raise DomainError("family has a zero L_p norm max on the grid (all members zero)")
+    lyap = probe * family.space.total_mass ** (-1.0 / pts)
 
     def ev(p):
         arr = np.atleast_1d(np.asarray(p, dtype=float))
-        vals = lp_norm_matrix(values, weights, arr).max(axis=0)
+        if arr.shape == pts.shape and np.array_equal(arr, pts):
+            vals = top.copy()
+        else:
+            i = np.searchsorted(pts, arr.min(), side="right") - 1
+            j = np.searchsorted(pts, arr.max(), side="left")
+            rows = values
+            if i >= 0 and j < pts.size:
+                rows = values[lyap[:, j] >= lyap[:, i].max() * (1.0 - 1e-12)]
+            vals = lp_norm_matrix(rows, weights, arr).max(axis=0)
         return vals if np.asarray(p).ndim else vals[0]
 
     return PsiFunction(1.0, math.inf, ev, label=f"natural[m={family.m}]")

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from bgl.errors import ConstructionError, DomainError, PreconditionError
 from bgl import norms
+from bgl.chaining import abs_sup
 from bgl.fixtures import make_rng, random_nonneg_family, sqrt_singularity_function
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction, indicator
 from bgl.norms import (
@@ -24,7 +25,7 @@ from bgl.norms import (
     mri_norm,
     natural_psi,
 )
-from bgl.psi import PGrid, constant, doob_factor, from_formula, power
+from bgl.psi import PGrid, constant, doob_factor, from_formula, power, product_psi
 
 
 def unit_space(n, total=1.0):
@@ -61,9 +62,23 @@ class TestLpNorm:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
-        # the kernel's live-row mask would read a NaN row as a zero norm
+        # a NaN or infinite value must not reach a norm as a number
         with pytest.raises(DomainError):
             SimpleFunction(unit_space(4), np.array([bad, 1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kernel_rejects_non_finite_rows(self, bad, monkeypatch):
+        # one row per chunk, the bad value in the last chunk; unchecked, a
+        # NaN row would come out NaN or 0 and an infinite row NaN
+        monkeypatch.setattr(norms, "_KERNEL_BYTES", 8 * 2 * 4)
+        values = np.ones((3, 4))
+        values[2, 1] = bad
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            lp_norm_matrix(values, np.ones(4), np.array([1.5, 2.0]))
+
+    def test_kernel_rejects_p_below_one(self):
+        with pytest.raises(DomainError, match="p must be >= 1, got 0.5"):
+            lp_norm_matrix(np.ones((2, 4)), np.ones(4), np.array([2.0, 0.5, 3.0]))
 
     def test_vectorized_matches_scalar(self):
         rng = make_rng(2)
@@ -131,6 +146,30 @@ class TestKernelChunks:
         rows = np.vstack([lp_norm_matrix(v[None, :], w, ps) for v in values])
         assert np.array_equal(got, rows)
         assert np.all(got[step:2 * step] == 0.0) and np.all(got[2 * step:] > 0.0)
+
+    def test_row_subsets_are_bit_identical(self):
+        # each row is its own gemv, so a subset of rows gets the full call's
+        # bits (natural_psi evaluates only some members on this); a subset of
+        # the p columns is not bit-identical, because BLAS blocks the gemv
+        # by the number of p
+        ps = np.geomspace(1.05, 200.0, 33)
+        rng = make_rng(34)
+        values, w = rng.uniform(-2.0, 2.0, (40, 256)), rng.uniform(0.1, 2.0, 256)
+        full = lp_norm_matrix(values, w, ps)
+        for _ in range(50):
+            keep = rng.random(40) < 0.3
+            assert np.array_equal(lp_norm_matrix(values[keep], w, ps), full[keep])
+
+    def test_memory_layout_moves_no_bit(self):
+        # a Fortran-ordered or strided matrix (a martingale level's rows are
+        # one) must take the C-ordered matrix's summation order
+        ps = np.geomspace(1.05, 200.0, 17)
+        rng = make_rng(35)
+        big, w = rng.uniform(-2.0, 2.0, (24, 96)), rng.uniform(0.1, 2.0, 48)
+        big[4] = 0.0
+        want = lp_norm_matrix(np.ascontiguousarray(big[::2, ::2]), w, ps)
+        assert np.array_equal(lp_norm_matrix(big[::2, ::2], w, ps), want)
+        assert np.array_equal(lp_norm_matrix(np.asfortranarray(big[::2, ::2]), w, ps), want)
 
     def test_row_larger_than_budget(self):
         ps = np.geomspace(1.0, 200.0, 48)
@@ -345,6 +384,90 @@ class TestNaturalPsi:
         psi0 = natural_psi(fam, grid)
         sigma = max(bgl_norm(f, psi0, grid).value for f in fam.members)
         assert sigma == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_family_rejected(self):
+        # psi0 = 0 would make bgl_norm return NaN silently
+        fam = FunctionFamily.from_values(unit_space(5), np.zeros((3, 5)))
+        with pytest.raises(DomainError, match="all members zero"):
+            natural_psi(fam, PGrid.log_spaced(1.05, 40, 16))
+
+
+class TestNaturalPsiExact:
+    """psi0.eval answers from the grid table or from the members that can
+    attain the max; either way it equals the full kernel call's column max."""
+
+    GRID = PGrid.log_spaced(1.05, 60.0, 24)
+    G = GRID.points
+    REQUESTS = {
+        "grid": G,
+        "grid point": float(G[7]),
+        "scalar": 3.3,
+        "one cell": np.linspace(G[5] + 1e-3, G[6] - 1e-3, 33),
+        "several cells": np.linspace(G[3], G[11], 33),
+        "below g_0": np.linspace(1.0, G[2], 9),
+        "above g_last": np.linspace(G[-3], 90.0, 9),
+        "outside both ends": np.array([1.01, 5.0, 150.0]),
+    }
+
+    @staticmethod
+    def family(m, mass):
+        rng = make_rng(41)
+        n = 40
+        w = rng.uniform(0.1, 2.0, n)
+        w *= mass / w.sum()
+        # members of different spread, so the argmax member changes with p
+        values = rng.uniform(0.0, 1.0, (m, n)) ** np.geomspace(0.2, 5.0, m)[:, None]
+        values *= np.geomspace(1.0, 0.6, m)[:, None]
+        if m >= 6:
+            values[3] = values[0]
+            values[5] = 0.0
+        return FunctionFamily.from_values(DiscreteMeasureSpace(w), values)
+
+    @pytest.mark.parametrize("m, mass", [(12, 1e-3), (12, 1.0), (12, 1e3), (1, 7.0)])
+    @pytest.mark.parametrize("request_name", list(REQUESTS))
+    def test_equals_full_kernel_max(self, m, mass, request_name):
+        fam = self.family(m, mass)
+        psi0 = natural_psi(fam, self.GRID)
+        p = self.REQUESTS[request_name]
+        want = lp_norm_matrix(fam.values_matrix(), fam.space.weights,
+                              np.atleast_1d(p)).max(axis=0)
+        got = psi0.eval(p)
+        if np.ndim(p):
+            assert np.array_equal(got, want)
+        else:
+            assert isinstance(got, np.floating) and got == want[0]
+
+    def test_grid_table_is_not_shared(self):
+        fam = self.family(12, 1.0)
+        psi0 = natural_psi(fam, self.GRID)
+        first = psi0.eval(self.G)
+        want = first.copy()
+        first *= 0.0
+        assert np.array_equal(psi0.eval(self.G), want)
+
+    def test_work(self, monkeypatch):
+        fam = random_nonneg_family(make_rng(42), 32, 256)
+        grid = PGrid.log_spaced(1.05, 200.0, 64)
+        psi0 = natural_psi(fam, grid)
+        calls = []
+        kernel = norms.lp_norm_matrix
+
+        def counted(values, weights, ps):
+            calls.append((np.shape(values)[0], np.size(ps)))
+            return kernel(values, weights, ps)
+
+        monkeypatch.setattr(norms, "lp_norm_matrix", counted)
+        psi0.eval(grid.points)
+        assert calls == []
+        bgl_norm(abs_sup(fam), product_psi(psi0, power(1.0)), grid)
+        # the grid pass is one row of |max Y| and psi0 from its table; then
+        # each refinement round is |max Y| (one row) and psi0 on the members
+        # that can attain the max
+        assert calls[0] == (1, 64)
+        rounds = calls[1:]
+        assert len(rounds) >= 2 and len(rounds) % 2 == 0
+        assert rounds[0::2] == [(1, 33)] * (len(rounds) // 2)
+        assert all(size == 33 and 1 <= rows < fam.m for rows, size in rounds[1::2])
 
 
 class TestMriNorm:
