@@ -62,25 +62,25 @@ __all__ = [
 
 def exact_sup(family: FunctionFamily) -> SimpleFunction:
     """Pointwise supremum sup_t Y(t, x); finite families make this exact."""
-    return SimpleFunction(family.space, family.values_matrix().max(axis=0))
+    return SimpleFunction(family.space, family.values.max(axis=0))
 
 
 def abs_sup(family: FunctionFamily) -> SimpleFunction:
     """Pointwise max of |Y(t, x)|, the quantity the bounds actually control."""
-    return SimpleFunction(family.space, np.abs(family.values_matrix()).max(axis=0))
+    return SimpleFunction(family.space, np.abs(family.values).max(axis=0))
 
 
 def _max_member_norm(family: FunctionFamily, pts: np.ndarray, psi: PsiFunction) -> float:
     """max over members t and points p of |Y(t)|_p / psi(p), one batched
     kernel call."""
-    norms = lp_norm_matrix(family.values_matrix(), family.space.weights, pts)
+    norms = lp_norm_matrix(family.values, family.space.weights, pts)
     return float((norms / psi.eval(pts)).max())
 
 
 def _lp_norms(family: FunctionFamily, p: float) -> tuple[float, float, float]:
     """max_t |Y(t)|_p, |max|Y|||_p and |sup Y|_p from one kernel call over
     the members, the pointwise max of |Y| and the pointwise sup."""
-    values = family.values_matrix()
+    values = family.values
     rows = np.vstack([values, np.abs(values).max(axis=0), values.max(axis=0)])
     norms = lp_norm_matrix(rows, family.space.weights, np.array([p], dtype=float))[:, 0]
     return float(norms[:-2].max()), float(norms[-2]), float(norms[-1])
@@ -116,8 +116,6 @@ class PisierResult(_SlackRatio):
 
 def pisier_bound(family: FunctionFamily, p: float) -> PisierResult:
     """max_j |Y_j|_p * m^{1/p} against the exact norm of the pointwise max."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
     mx, exact, exact_signed = _lp_norms(family, p)
     return PisierResult(
         bound=mx * family.m ** (1.0 / p),
@@ -187,13 +185,12 @@ def _level_sum(metric: SemiMetric, theta: float, k_max: int, factor):
     """Per-level terms (k, theta^{k-1} F(N_k)) of ``metric`` under the level
     factor F, the last level k, the tail (rule in the module docstring) and
     whether the levels saturated."""
-    levels = covering_profile(metric, theta, k_max).levels
-    terms = tuple((lv.k, theta ** (lv.k - 1) * factor(lv.n_balls)) for lv in levels)
-    last = levels[-1]
-    saturated = last.n_balls >= metric.n_distinct()
-    n_tail = last.n_balls if saturated else metric.size
+    profile = covering_profile(metric, theta, k_max)
+    terms = tuple((lv.k, theta ** (lv.k - 1) * factor(lv.n_balls)) for lv in profile.levels)
+    last = profile.levels[-1]
+    n_tail = last.n_balls if profile.saturated else metric.size
     tail = theta ** last.k / (1.0 - theta) * factor(n_tail)
-    return terms, last.k, tail, saturated
+    return terms, last.k, tail, profile.saturated
 
 
 def _chaining_report(metric: SemiMetric, theta: float, k_max: int, factor,
@@ -266,7 +263,7 @@ def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunc
 
 def optimize_theta(family: FunctionFamily, theta_grid, p: float | None = None,
                    psi: PsiFunction | None = None, nu: PsiFunction | None = None,
-                   grid: PGrid | None = None, k_max: int = 32) -> ChainingReport:
+                   grid: PGrid | None = None) -> ChainingReport:
     """Evaluate the selected chaining bound on each theta and keep the smallest
     (the first, on ties).  The metric is built once for all thetas."""
     thetas = list(theta_grid)
@@ -274,10 +271,9 @@ def optimize_theta(family: FunctionFamily, theta_grid, p: float | None = None,
         raise DomainError("theta grid is empty")
     if p is not None:
         metric = family_semimetric(family, p=p)
-        reports = [entropy_sum_bound(family, p, theta, k_max=k_max, metric=metric)
-                   for theta in thetas]
+        reports = [entropy_sum_bound(family, p, theta, metric=metric) for theta in thetas]
     else:
-        reports = chained_product_bounds(family, psi, nu, grid, thetas, k_max=k_max)
+        reports = chained_product_bounds(family, psi, nu, grid, thetas)
     return min(reports, key=lambda rep: rep.bound_value)
 
 
@@ -295,8 +291,7 @@ class PolyEntropyReport:
 
 
 def polynomial_entropy_check(family: FunctionFamily, psi: PsiFunction, kappa: float,
-                             profile, p_grid, theta: float = 0.5,
-                             k_max: int = 32) -> PolyEntropyReport:
+                             profile, p_grid, theta: float = 0.5) -> PolyEntropyReport:
     """Under N(T, d_psi, eps) <= C eps^-kappa, the per-p chaining bound should
     stay within a p-independent multiple of psi(p) * p/(p - kappa).
 
@@ -319,11 +314,9 @@ def polynomial_entropy_check(family: FunctionFamily, psi: PsiFunction, kappa: fl
         c_fit = 1.0
     weight = psi_kappa(psi, kappa)
     ratios = []
-    for p in np.asarray(p_grid, dtype=float):
-        if p <= weight.a:
-            raise DomainError(f"p={p} not above max(kappa, 1) = {weight.a}")
-        bound = entropy_sum_bound(family, float(p), theta, k_max=k_max).bound_value
-        ratios.append((float(p), bound / float(weight(p))))
+    for p in weight.check_support(p_grid):
+        bound = entropy_sum_bound(family, float(p), theta).bound_value
+        ratios.append((float(p), bound / float(weight.eval(p))))
     vals = [r for _, r in ratios]
     spread = max(vals) / min(vals)
     return PolyEntropyReport(c_fit=c_fit, kappa=kappa, ratios=tuple(ratios),
@@ -442,15 +435,14 @@ class MriChainReport(_SlackRatio):
     passed: bool
 
 
-def mri_chaining_bound(family: FunctionFamily, spec: MriNormSpec, theta: float,
-                       k_max: int = 32) -> MriChainReport:
+def mri_chaining_bound(family: FunctionFamily, spec: MriNormSpec,
+                       theta: float) -> MriChainReport:
     """Push the per-p chaining bound g(p) through an m.r.i. norm: since
     |max|Y||_p <= g(p) pointwise and the norm is monotone, <g> dominates the
     m.r.i. norm of the pointwise max (checked to 1e-9 relative)."""
     sup_f = abs_sup(family)
     xs = spec.nodes if spec.kind == "quadrature" else spec.grid.points
-    g = np.array([entropy_sum_bound(family, float(x), theta, k_max=k_max).bound_value
-                  for x in xs])
+    g = np.array([entropy_sum_bound(family, float(x), theta).bound_value for x in xs])
     if spec.kind == "quadrature":
         bound = float(np.dot(spec.weights, (g / xs ** spec.alpha) ** spec.q)
                       ** (1.0 / spec.q))

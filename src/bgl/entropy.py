@@ -105,16 +105,15 @@ class SemiMetric:
 
     @staticmethod
     def from_points(points) -> "SemiMetric":
-        """Euclidean distances of a point cloud; the triangle inequality holds
-        by construction, so the exhaustive check is skipped."""
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        if x.shape[0] == 1 and x.shape[1] > 1 and x.ndim == 2 and np.asarray(points).ndim == 1:
-            x = x.T
+        """Euclidean distances of a point cloud, one point per row (a 1-d
+        array is points on a line); the triangle inequality holds by
+        construction, so the exhaustive check is skipped."""
+        x = np.asarray(points, dtype=float)
+        x = x.reshape(len(x), -1)
+        # x_i - x_j is exactly -(x_j - x_i), so d is exactly symmetric with
+        # a zero diagonal (both still checked on construction)
         diff = x[:, None, :] - x[None, :, :]
-        d = np.sqrt(np.sum(diff * diff, axis=2))
-        d = 0.5 * (d + d.T)
-        np.fill_diagonal(d, 0.0)
-        return SemiMetric(d, trusted=True)
+        return SemiMetric(np.sqrt(np.sum(diff * diff, axis=2)), trusted=True)
 
     def scaled(self, c: float) -> "SemiMetric":
         return SemiMetric(self.d * float(c), trusted=True)
@@ -136,10 +135,9 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
     else:
         if grid is None:
             raise DomainError("the grand Lebesgue variant needs a grid")
-        if not psi.contains_grid(grid):
-            raise DomainError("grid not inside the support of psi")
-        pts, scale = grid.points, psi.eval(grid.points)
-    values = family.values_matrix()
+        pts = psi.check_support(grid.points)
+        scale = psi.eval(pts)
+    values = family.values
     weights = family.space.weights
     m = family.m
     norms = (lp_norm_matrix(values, weights, pts) / scale).max(axis=1)
@@ -307,6 +305,7 @@ class CoveringProfile:
     levels: tuple
     n_points: int
     exact: bool
+    saturated: bool  # the last level's N reached the number of distinct points
 
 
 def covering_profile(metric: SemiMetric, theta: float, k_max: int,
@@ -316,6 +315,8 @@ def covering_profile(metric: SemiMetric, theta: float, k_max: int,
     Centers are recorded per level for reuse by the chaining bounds."""
     if not (0.0 < theta < 1.0):
         raise DomainError("theta must lie in (0, 1)")
+    if k_max < 1:
+        raise DomainError(f"k_max = {k_max} must be at least 1")
     m = metric.size
     if mode is None:
         mode = "exact" if m <= EXACT_COVER_LIMIT else "greedy"
@@ -326,10 +327,11 @@ def covering_profile(metric: SemiMetric, theta: float, k_max: int,
         n, centers = covering_with_centers(metric, eps, mode=mode)
         levels.append(CoverLevel(k=k, eps=eps, n_balls=n, entropy=math.log(n),
                                  centers=tuple(centers)))
-        if n >= n_distinct:
+        saturated = n >= n_distinct
+        if saturated:
             break
     return CoveringProfile(theta=theta, levels=tuple(levels), n_points=m,
-                           exact=(mode == "exact"))
+                           exact=(mode == "exact"), saturated=saturated)
 
 
 def entropy_dimension(profile: CoveringProfile, fit_range=None) -> float:

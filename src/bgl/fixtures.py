@@ -43,10 +43,10 @@ def random_nonneg_family(rng: np.random.Generator, m: int, n_atoms: int = 48,
     return FunctionFamily.from_values(space, values)
 
 
-def disjoint_indicator_family(m: int, atom_weight: float = 1.0) -> FunctionFamily:
-    """m indicators of disjoint atoms; the equality case of the finite
-    maximal inequality when each has unit L_p norm (atom_weight = 1)."""
-    space = DiscreteMeasureSpace(np.full(m, atom_weight))
+def disjoint_indicator_family(m: int) -> FunctionFamily:
+    """m indicators of disjoint unit-weight atoms, each of unit L_p norm: the
+    equality case of the finite maximal inequality."""
+    space = DiscreteMeasureSpace(np.ones(m))
     return FunctionFamily.from_values(space, np.eye(m))
 
 

@@ -120,16 +120,18 @@ def partial_sum(sample: FourierSample, m: int) -> SimpleFunction:
     return SimpleFunction(sample.space, vals)
 
 
-def _running_maxima(sample: FourierSample, checkpoints) -> dict:
-    """Running max of |s_M| for M = 1..max(checkpoints), snapshotted at each
-    checkpoint; one incremental pass over the coefficients."""
-    m_top = max(checkpoints)
+def maximal_partial_sums(sample: FourierSample, m_list) -> dict:
+    """M -> pointwise max over M' = 1..M of |s_M'[f]|, for each M in m_list;
+    one incremental pass over the coefficients up to max(m_list)."""
+    todo = sorted(set(int(m) for m in m_list))
+    if not todo or todo[0] < 1:
+        raise DomainError(f"M list {todo} needs at least one M, each >= 1")
+    m_top = todo[-1]
     phase, c = _phases(sample, m_top)
     mid = m_top  # index of c(0)
     s = np.full(sample.k_points, c[mid].real / (2.0 * math.pi))
     running = np.zeros(sample.k_points)
     out = {}
-    todo = sorted(set(int(m) for m in checkpoints))
     for m in range(1, m_top + 1):
         term = (c[mid + m] * phase[mid - m]
                 + c[mid - m] * phase[mid + m]).real / (2.0 * math.pi)
@@ -143,13 +145,7 @@ def _running_maxima(sample: FourierSample, checkpoints) -> dict:
 
 def maximal_partial_sum(sample: FourierSample, m_max: int) -> SimpleFunction:
     """Pointwise max over M = 1..m_max of |s_M[f]|."""
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
-    return _running_maxima(sample, [m_max])[m_max]
-
-
-def maximal_partial_sums(sample: FourierSample, m_list) -> dict:
-    return _running_maxima(sample, list(m_list))
+    return maximal_partial_sums(sample, [m_max])[m_max]
 
 
 @dataclass(frozen=True)
@@ -173,29 +169,18 @@ def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
     also carries ||s*||_{G(psi_2)} / ||f||_{G(psi)} with the p^4/(p-1)^2
     weight folded into psi_2.
     """
-    m_list = sorted(set(int(m) for m in m_list))
-    if not m_list:
-        raise DomainError("empty M list")
-    pts = grid.points
-    if pts[0] <= 1.0:
-        raise DomainError("the weight needs p > 1; start the grid above 1")
+    pts = psi.check_support(grid.points)  # p > a >= 1: the weight is finite
+    maxima = maximal_partial_sums(sample, m_list)
+    m_list = sorted(maxima)  # the distinct M, as ints
     f = sample.as_function()
     weight = pts ** 4 / (pts - 1.0) ** 2
-    maxima = _running_maxima(sample, m_list)
     # row 0 is f, row 1 + j the running maximum at m_list[j]
     norms = lp_norm_matrix(np.stack([f.values] + [maxima[m].values for m in m_list]),
                            sample.space.weights, pts)
-    rho_rows = []
-    ok = True
-    for i, p in enumerate(pts):
-        row = []
-        for j, m in enumerate(m_list):
-            row.append((m, norms[1 + j, i] / (weight[i] * norms[0, i])))
-        values = [r for _, r in row]
-        if len(values) >= 2:
-            # growth test: the final value must not escape the earlier plateau
-            ok = ok and (values[-1] <= 1.05 * max(values[:-1]))
-        rho_rows.append((float(p), tuple(row)))
+    rho = norms[1:] / (weight * norms[0])  # rho[j, i] = rho(pts[i], m_list[j])
+    # growth test: at every p the final value must not escape the earlier plateau
+    ok = len(m_list) < 2 or bool(np.all(rho[-1] <= 1.05 * rho[:-1].max(axis=0)))
+    rho_rows = [(float(p), tuple(zip(m_list, col))) for p, col in zip(pts, rho.T)]
     psi2 = psi_fourier(psi)
     star = maxima[m_list[-1]]
     norm_ratio = (bgl_norm(star, psi2, grid).value

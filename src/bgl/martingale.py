@@ -102,13 +102,15 @@ def _verify_martingale(s: np.ndarray, probs: np.ndarray, n_values: int, tol: flo
 
 
 def build_walk_ensemble(horizon: int, increments=None, probs=None,
-                        monte_carlo: bool = False, n_paths: int = 100_000,
-                        rng: np.random.Generator | None = None) -> MartingaleEnsemble:
-    """Random walk S_n = sum of i.i.d. mean-zero increments.
+                        monte_carlo: bool = False, n_paths: int = 100_000) -> MartingaleEnsemble:
+    """Random walk S_n = sum of i.i.d. mean-zero increments, n = 1..horizon.
 
     Default law is the symmetric +-1 step.  Exhaustive enumeration needs
-    horizon <= 20; set monte_carlo=True beyond that.
+    horizon <= 20; set monte_carlo=True beyond that (paths drawn from
+    default_rng(0)).
     """
+    if horizon < 1:
+        raise DomainError(f"horizon = {horizon} must be at least 1")
     if increments is None:
         increments = np.array([-1.0, 1.0])
         probs = np.array([0.5, 0.5])
@@ -120,13 +122,13 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None,
         raise PreconditionError("increment law must have mean zero")
     if abs(float(probs.sum()) - 1.0) > 1e-12:
         raise PreconditionError("increment probabilities must sum to one")
-    if float(np.dot(probs, increments ** 2)) <= 0.0:
+    var_step = float(np.dot(probs, increments ** 2))
+    if var_step <= 0.0:
         raise PreconditionError("increment law must have positive variance")
 
     base = increments.size
     if monte_carlo:
-        rng = np.random.default_rng(0) if rng is None else rng
-        digits = rng.choice(base, size=(n_paths, horizon), p=probs)
+        digits = np.random.default_rng(0).choice(base, size=(n_paths, horizon), p=probs)
         weights = np.full(n_paths, 1.0 / n_paths)
         exhaustive = False
     else:
@@ -149,13 +151,11 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None,
     if exhaustive:
         _verify_martingale(s, probs, base)
 
-    var_step = float(np.dot(probs, increments ** 2))
-    ns = np.arange(1, horizon + 1, dtype=float)
     if exhaustive:
         mean = weights @ s
         sigma = np.sqrt(weights @ (s ** 2) - mean ** 2)
     else:
-        sigma = np.sqrt(var_step * ns)
+        sigma = np.sqrt(var_step * np.arange(1, horizon + 1, dtype=float))
     return MartingaleEnsemble(space=DiscreteMeasureSpace(weights), s_values=s,
                               sigma=sigma, exhaustive=exhaustive, base=base)
 
@@ -312,11 +312,7 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
     """
     if not ens.exhaustive:
         raise PreconditionError("the block chain check needs an exhaustive ensemble")
-    if not psi.contains_grid(grid):
-        raise DomainError("grid not inside the support of psi")
-    pts = grid.points
-    if pts[0] <= 1.0:
-        raise DomainError("grid must stay above p = 1")
+    pts = psi.check_support(grid.points)  # p > a >= 1: p/(p-1) is finite
     horizon = ens.horizon
     psi_vals = psi.eval(pts)
 

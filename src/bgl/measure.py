@@ -163,10 +163,6 @@ class FunctionFamily:
     def m(self) -> int:
         return int(self.values.shape[0])
 
-    def values_matrix(self) -> np.ndarray:
-        """The stored read-only matrix (not a copy)."""
-        return self.values
-
     def scale(self, c: float) -> "FunctionFamily":
         return FunctionFamily(self.labels, self.space, self.values * float(c))
 
@@ -178,7 +174,7 @@ class FunctionFamily:
 
 def save_family(path, family: FunctionFamily):
     space = family.space
-    mat = family.values_matrix()
+    mat = family.values
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# atom_id weight " + " ".join(str(l) for l in family.labels) + "\n")
         for i in range(space.n_atoms):

@@ -107,9 +107,7 @@ def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid,
     pass it to the other side (as `fundamental_function`'s extra point) so
     the comparison is evaluated on a common point set.
     """
-    if not psi.contains_grid(grid):
-        raise DomainError(f"grid not inside support ({psi.a}, {psi.b}) of {psi.label}")
-    pts = grid.points
+    pts = psi.check_support(grid.points)
     ratios = lp_norm(f, pts) / psi.eval(pts)
     j = int(np.argmax(ratios))
     best_p, best_v = float(pts[j]), float(ratios[j])
@@ -138,11 +136,7 @@ def fundamental_function(psi: PsiFunction, delta: float, grid: PGrid,
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
-    if not psi.contains_grid(grid):
-        raise DomainError(f"grid not inside support ({psi.a}, {psi.b}) of {psi.label}")
-    pts = grid.with_extra(extra_points)
-    if np.any(pts <= psi.a) or np.any(pts >= psi.b):
-        raise DomainError("extra points outside the support of psi")
+    pts = psi.check_support(grid.with_extra(extra_points))
     vals = np.power(delta, 1.0 / pts) / psi.eval(pts)
     j = int(np.argmax(vals))
     a = float(pts[max(j - 1, 0)])
@@ -187,9 +181,7 @@ def natural_psi(family: FunctionFamily, grid: PGrid) -> PsiFunction:
       1e-12 is over 1000x the kernel's error, and the norms of a subset of
       rows are bit-identical to the full call's.
     """
-    if family.m < 1:
-        raise DomainError("empty family")
-    values = family.values_matrix()
+    values = family.values
     weights = family.space.weights
     pts = grid.points
     probe = lp_norm_matrix(values, weights, pts)

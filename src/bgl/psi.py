@@ -56,17 +56,20 @@ class PsiFunction:
 
     def __call__(self, p):
         """Evaluate at p (scalar or array), requiring p inside the open support."""
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr <= self.a) or np.any(arr >= self.b):
-            raise DomainError(
-                f"p={p} outside open support ({self.a}, {self.b}) of {self.label}"
-            )
+        arr = self.check_support(p)
         out = np.asarray(self.eval(arr), dtype=float)
         return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
-    def contains_grid(self, grid: "PGrid") -> bool:
-        pts = grid.points
-        return bool(pts[0] > self.a and pts[-1] < self.b)
+    def check_support(self, p) -> np.ndarray:
+        """p as a float array, raising DomainError unless every value lies in
+        the open support (a, b).  NaN lies in no interval, so it fails."""
+        arr = np.asarray(p, dtype=float)
+        if not (np.all(arr > self.a) and np.all(arr < self.b)):
+            bad = float(arr[~((arr > self.a) & (arr < self.b))].flat[0])
+            raise DomainError(
+                f"p={bad!r} outside open support ({self.a}, {self.b}) of {self.label}"
+            )
+        return arr
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class PGrid:
         object.__setattr__(self, "points", pts)
         if pts.size < 2:
             raise DomainError("a p-grid needs at least 2 points")
-        if np.any(np.diff(pts) <= 0):
+        if not np.all(np.diff(pts) > 0):
             raise DomainError("p-grid points must be strictly increasing")
 
     @staticmethod
@@ -149,26 +152,24 @@ def ratio(kappa: float) -> PsiFunction:
                        label=f"ratio[{kappa:g}]")
 
 
-def from_table(points, values, a: float | None = None, b: float | None = None,
-               label: str = "table") -> PsiFunction:
+def from_table(points, values) -> PsiFunction:
     """Piecewise-linear-in-log interpolation of tabulated values.
 
-    Interpolates log psi linearly in p between the tabulated points and
-    extends flat beyond them; the support defaults to the tabulated range.
+    Interpolates log psi linearly in p between the tabulated points; the
+    support is the tabulated range.
     """
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(values, dtype=float)
     if pts.size != vals.size or pts.size < 2:
         raise DomainError("table needs >= 2 matching points and values")
-    if np.any(np.diff(pts) <= 0):
+    if not np.all(np.diff(pts) > 0):
         raise DomainError("table points must be strictly increasing")
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         raise DomainError("table values must be positive")
     logv = np.log(vals)
-    a = pts[0] if a is None else a
-    b = pts[-1] if b is None else b
-    return PsiFunction(a, b, lambda p: np.exp(np.interp(np.asarray(p, float), pts, logv)),
-                       label=label)
+    return PsiFunction(pts[0], pts[-1],
+                       lambda p: np.exp(np.interp(np.asarray(p, float), pts, logv)),
+                       label="table")
 
 
 def from_formula(fn, a: float, b: float, label: str = "formula") -> PsiFunction:
@@ -258,9 +259,7 @@ def check_log_convex(psi: PsiFunction, grid: PGrid) -> LogConvexityReport:
     geometric bound across all grid triples p_i < p_j < p_k.  Violations are
     reported, not raised: computed natural functions carry sampling noise.
     """
-    pts = grid.points
-    if not psi.contains_grid(grid):
-        raise DomainError("grid not inside the support of psi")
+    pts = psi.check_support(grid.points)
     logv = np.log(psi.eval(pts))
     u = 1.0 / pts
     n = pts.size

@@ -314,11 +314,10 @@ def criterion_doob(seed: int, p_max: float = 200.0, *, horizons=(10, 14),
     for horizon in horizons:
         ens = build_walk_ensemble(horizon)
         for p in ps:
-            cap = p / (p - 1.0)
             for n in range(1, horizon + 1):
                 rep = doob_check(ens, p, n)
-                ok = ok and rep.ratio <= cap
-                worst_slack = min(worst_slack, cap - rep.ratio)
+                ok = ok and rep.passed
+                worst_slack = min(worst_slack, rep.cap - rep.ratio)
                 checked += 1
     return Record("doob_ratio_under_cap", ok,
                   fields=dict(checked=checked, worst_slack=worst_slack))
@@ -329,7 +328,7 @@ def criterion_doob(seed: int, p_max: float = 200.0, *, horizons=(10, 14),
 
 def criterion_block_chain(seed: int, p_max: float = 200.0, *, horizon: int = 14,
                           tol: float = 1e-9) -> Record:
-    grid = PGrid.log_spaced(1.1, min(50.0, p_max), 48)
+    grid = _grid(min(50.0, p_max), 48, 1.1)
     ens = build_walk_ensemble(horizon)
     ok = True
     ratios = []
@@ -351,7 +350,7 @@ def criterion_fourier(seed: int, p_max: float = 200.0, *, m_list=(16, 32, 64, 12
                       samples: int = 5, degree_max: int = 12,
                       grid_points: int = 1024) -> Record:
     rng = make_rng(seed)
-    grid = PGrid.log_spaced(1.1, min(32.0, p_max), 24)
+    grid = _grid(min(32.0, p_max), 24, 1.1)
     cases = [square_wave_sample(grid_points)]
     for _ in range(samples):
         a, b = random_trig_coeffs(rng, int(rng.integers(3, degree_max + 1)))
@@ -414,6 +413,6 @@ def run_criteria(kind: str, seed: int, p_max: float = 200.0, params=None) -> Rep
     return report
 
 
-def run_suite(seed: int = 1, p_max: float = 200.0) -> Report:
+def run_suite(seed: int = 1) -> Report:
     """Run every acceptance criterion with its default parameters."""
-    return run_criteria("suite", seed, p_max)
+    return run_criteria("suite", seed)

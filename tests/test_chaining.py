@@ -46,7 +46,7 @@ class TestExactSup:
     def test_matches_per_atom_loop(self):
         rng = make_rng(21)
         fam = random_nonneg_family(rng, 10, 32)
-        mat = fam.values_matrix()
+        mat = fam.values
         oracle = np.array([max(mat[t, i] for t in range(10)) for i in range(32)])
         assert np.array_equal(exact_sup(fam).values, oracle)
 
@@ -122,7 +122,7 @@ class TestLpSignedSide:
     @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
     def test_signed_family_two_norms(self, monkeypatch, bound):
         base = random_nonneg_family(make_rng(18), 9, 40)
-        fam = FunctionFamily.from_values(base.space, base.values_matrix() - 0.6)
+        fam = FunctionFamily.from_values(base.space, base.values - 0.6)
         calls = self.count_kernel(monkeypatch)
         for p in (1.0, 2.5, 9.0):
             calls.clear()

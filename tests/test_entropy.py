@@ -128,11 +128,11 @@ class TestFamilySemimetricCells:
     @staticmethod
     def signed_family():
         base = random_nonneg_family(make_rng(23), 11, 40)
-        return FunctionFamily.from_values(base.space, base.values_matrix() - 0.5)
+        return FunctionFamily.from_values(base.space, base.values - 0.5)
 
     @staticmethod
     def diff(fam, i, j):
-        values = fam.values_matrix()
+        values = fam.values
         return SimpleFunction(fam.space, values[i] - values[j])
 
     @pytest.mark.parametrize("p", [1.0, 2.5, 9.0])
@@ -321,6 +321,24 @@ class TestProfile:
         prof = covering_profile(metric, 0.5, 8)
         for lv in prof.levels:
             assert lv.n_balls == reference_greedy(metric, lv.eps)
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    @pytest.mark.parametrize("k_max", [1, 2, 32])
+    def test_saturated_flag_matches_last_level(self, mode, k_max):
+        # k_max = 32 saturates every metric here; 1 and 2 stop short of it
+        # on most, and the zero-distance duplicates test n_distinct < m
+        rng = make_rng(15)
+        saw = set()
+        for m in (2, 9, 16):
+            metric = random_plane_metric(rng, m, grid_snap=4)
+            prof = covering_profile(metric, 0.5, k_max, mode=mode)
+            assert prof.saturated == (prof.levels[-1].n_balls >= metric.n_distinct())
+            saw.add(prof.saturated)
+        assert saw == ({True} if k_max == 32 else {True, False})
+
+    def test_k_max_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            covering_profile(unit_interval_metric(4), 0.5, 0)
 
     def test_centers_cover_at_each_level(self):
         rng = make_rng(14)

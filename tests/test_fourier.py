@@ -16,7 +16,7 @@ from bgl.fourier import (
     square_wave_sample,
     trig_poly_sample,
 )
-from bgl.norms import lp_norm
+from bgl.norms import lp_norm, lp_norm_matrix
 from bgl.psi import PGrid, constant
 
 GIBBS = 1.178979744471914  # (2/pi) Si(pi)
@@ -186,6 +186,43 @@ class TestMaximalRatio:
             for m, r in row:
                 expected = lp_norm(maxima[m], p) / (p ** 4 / (p - 1.0) ** 2 * lp_norm(f, p))
                 assert r == pytest.approx(expected, rel=4e-15, abs=0)
+
+    def test_rho_equals_per_element_loop(self):
+        # the array rho performs, cell by cell, the division of a per-(p, M)
+        # loop over the same batched norm matrix
+        s = _phase_samples(1024)[1]
+        grid = self.grid()
+        m_list = [8, 16, 32, 64]
+        rep = maximal_ratio_check(s, constant(), grid, m_list)
+        maxima = maximal_partial_sums(s, m_list)
+        pts = grid.points
+        norms = lp_norm_matrix(np.stack([s.values] + [maxima[m].values for m in m_list]),
+                               s.space.weights, pts)
+        weight = pts ** 4 / (pts - 1.0) ** 2
+        for i, (p, row) in enumerate(rep.rho):
+            assert p == pts[i]
+            for j, (m, r) in enumerate(row):
+                assert type(m) is int and type(r) is np.float64
+                assert (m, r) == (m_list[j], norms[1 + j, i] / (weight[i] * norms[0, i]))
+
+    def test_growth_verdict_flips_on_rising_case(self):
+        # the Dirichlet kernel D_64: its partial sums D_M keep rising with
+        # M up to 64, so the last running max escapes the earlier plateau;
+        # D_4 has no terms beyond M = 4, so its running max stays flat
+        dirichlet = sample_function(
+            lambda x: 0.5 + sum(np.cos(n * x) for n in range(1, 65)), 1024)
+        flat = sample_function(
+            lambda x: 0.5 + sum(np.cos(n * x) for n in range(1, 5)), 1024)
+        assert not maximal_ratio_check(dirichlet, constant(), self.grid(), [2, 4, 64]).passed
+        assert maximal_ratio_check(flat, constant(), self.grid(), [4, 8, 64]).passed
+
+    def test_m_below_one_rejected(self):
+        s = square_wave_sample(64)
+        for m_list in ([0], [], [-1, 4]):
+            with pytest.raises(DomainError):
+                maximal_partial_sums(s, m_list)
+        with pytest.raises(DomainError):
+            maximal_partial_sum(s, 0)
 
     def test_random_trig_polys_saturate(self):
         rng = make_rng(42)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ class TestColumnarFormat:
         loaded = load_family(path)
         assert loaded.labels == fam.labels
         assert np.array_equal(loaded.space.weights, fam.space.weights)
-        assert np.array_equal(loaded.values_matrix(), fam.values_matrix())
+        assert np.array_equal(loaded.values, fam.values)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -175,7 +176,7 @@ class TestScenarioConfig:
                        "[family]\ngenerator = file\npath = fam.tsv\n")
         monkeypatch.chdir(tmp_path)
         loaded = load_scenario(cfg).params["chained_bound"]["family"]
-        assert np.array_equal(loaded.values_matrix(), fam.values_matrix())
+        assert np.array_equal(loaded.values, fam.values)
 
     @pytest.mark.parametrize("section", [
         "[scenario]\nkind = chain\nseed = x\n",
@@ -242,6 +243,25 @@ class TestCli:
         out = tmp_path / "report.txt"
         assert cli_main([verb, "--p-max", "0.5", "--out", str(out)]) == 1
         assert "summary.verdict = FAIL" in out.read_text()
+
+    @pytest.mark.parametrize("verb,body", [
+        ("chain", "[family]\ncount = 2\n[chain]\nk_max = 0\n"),
+        ("fourier", "[fourier]\nm_list = 0\n"),
+        ("martingale", "[martingale]\np = 1\n"),
+        ("martingale", "[martingale]\nhorizon = 0\n"),
+    ], ids=["k_max_0", "m_list_0", "doob_p_1", "horizon_0"])
+    def test_bad_config_value_is_a_failed_record(self, verb, body, tmp_path, capsys):
+        # a value a check cannot run on fails that check's record with a
+        # one-line error instead of ending the run in a traceback
+        cfg = tmp_path / f"{verb}.cfg"
+        cfg.write_text(f"[scenario]\nkind = {verb}\n{body}")
+        out = tmp_path / "report.txt"
+        assert cli_main([verb, "--config", str(cfg), "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        assert any(re.match(r"record\.\d+\.error = ", line) for line in lines)
+        # every line is one key = value pair: no message spans two lines
+        assert all(re.match(r"(bgl|meta|record|summary)\.\S+ = ", line) for line in lines)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [("--tol", "-1"), ("--p-max", "nan")],
                              ids=["negative_tol", "nan_p_max"])

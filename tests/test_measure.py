@@ -33,23 +33,23 @@ class TestFunctionFamily:
         assert fam.labels == tuple(f"t{i}" for i in range(7))
         for i, f in enumerate(fam.members):
             assert f.space is self.SPACE
-            assert np.array_equal(f.values, fam.values_matrix()[i])
+            assert np.array_equal(f.values, fam.values[i])
 
     def test_stored_matrix_is_a_read_only_copy(self):
         matrix = np.arange(12.0).reshape(3, 4)
         fam = FunctionFamily.from_values(self.SPACE, matrix)
-        assert not fam.values_matrix().flags.writeable
+        assert not fam.values.flags.writeable
         with pytest.raises(ValueError):
-            fam.values_matrix()[0, 0] = 5.0
+            fam.values[0, 0] = 5.0
         matrix[0, 0] = 5.0
-        assert fam.values_matrix()[0, 0] == 0.0
+        assert fam.values[0, 0] == 0.0
         assert matrix.flags.writeable
 
     def test_scale_multiplies_the_matrix(self):
         fam = random_nonneg_family(make_rng(62), 5, 4, space=self.SPACE)
         scaled = fam.scale(-3.0)
         assert scaled.labels == fam.labels and scaled.space is fam.space
-        assert np.array_equal(scaled.values_matrix(), fam.values_matrix() * -3.0)
+        assert np.array_equal(scaled.values, fam.values * -3.0)
         with np.errstate(over="ignore"), pytest.raises(DomainError):
             fam.scale(1e308).scale(1e308)
 

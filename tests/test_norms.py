@@ -347,6 +347,11 @@ class TestFundamentalFunction:
         v = fundamental_function(constant(), 4.0, grid)
         assert v == pytest.approx(4.0 ** (1.0 / grid.points[0]), rel=1e-9)
 
+    def test_nan_extra_point_rejected(self):
+        grid = PGrid.log_spaced(1.05, 50, 48)
+        with pytest.raises(DomainError):
+            fundamental_function(constant(), 2.0, grid, extra_points=[math.nan])
+
     def test_monotone_in_delta(self):
         grid = PGrid.log_spaced(1.05, 50, 48)
         psi = doob_factor()
@@ -429,7 +434,7 @@ class TestNaturalPsiExact:
         fam = self.family(m, mass)
         psi0 = natural_psi(fam, self.GRID)
         p = self.REQUESTS[request_name]
-        want = lp_norm_matrix(fam.values_matrix(), fam.space.weights,
+        want = lp_norm_matrix(fam.values, fam.space.weights,
                               np.atleast_1d(p)).max(axis=0)
         got = psi0.eval(p)
         if np.ndim(p):

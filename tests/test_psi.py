@@ -47,6 +47,12 @@ class TestEval:
         with pytest.raises(DomainError):
             psi(1.0)
 
+    def test_nan_outside_every_support(self):
+        with pytest.raises(DomainError):
+            power(1.0)(math.nan)
+        with pytest.raises(DomainError):
+            power(1.0).check_support([2.0, math.nan])
+
     def test_psi_below_one_rejected_by_constant(self):
         with pytest.raises(DomainError):
             constant(0.5)
@@ -179,6 +185,12 @@ class TestTable:
         t = from_table([2.0, 4.0], [1.0, 9.0])
         assert t(3.0) == pytest.approx(3.0)  # geometric midpoint
 
+    def test_nan_entries_rejected(self):
+        with pytest.raises(DomainError):
+            from_table([1.5, math.nan, 4.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError):
+            from_table([1.5, 4.0], [1.0, math.nan])
+
 
 class TestLogConvexity:
     def test_power_passes(self):
@@ -211,6 +223,10 @@ class TestPGrid:
         with pytest.raises(DomainError):
             PGrid(np.array([1.5, 1.5, 2.0]))
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError):
+            PGrid(np.array([1.5, np.nan, 2.0]))
+
     def test_inside_respects_cap(self):
         g = PGrid.inside(constant(), n=16, p_max_cap=100.0)
         assert g.points[-1] == 100.0 and g.points[0] > 1.0
@@ -218,7 +234,7 @@ class TestPGrid:
     def test_inside_finite_support(self):
         psi = from_formula(lambda p: p, 1.0, 2.0)
         g = PGrid.inside(psi, n=16)
-        assert psi.contains_grid(g)
+        psi.check_support(g.points)
 
 
 @settings(max_examples=40, deadline=None)
