@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, SizeError
 from .measure import FunctionFamily
-from .norms import lp_norm_matrix
+from .norms import lp_norm_cells, lp_norm_matrix
 from .psi import PGrid, PsiFunction
 
 __all__ = [
@@ -41,6 +41,13 @@ EXACT_COVER_LIMIT = 24
 # side of the square tiles the exact-symmetry check compares; a tile pair
 # stays in cache, where comparing d with its strided transpose does not
 _SYMMETRY_TILE = 64
+
+# `family_semimetric` evaluates every _COARSE_STEP-th grid column of a row
+# first.  With 64 p, random families need only those columns (7.8% of the
+# cells at a step of 16, 14.1% at 8); a random trigonometric series needs
+# 46% of the cells at 16 and 36% at 8
+_COARSE_STEP = 16
+_TINY = np.finfo(float).tiny
 
 
 def _exactly_symmetric(d: np.ndarray) -> bool:
@@ -126,12 +133,25 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
     The grand Lebesgue variant evaluates member and difference norms on the
     same grid without refinement, which keeps d <= 2 sigma and the triangle
     inequality exact up to rounding; a diameter above 2 sigma (beyond
-    rounding) raises.  Row t is one kernel call over Y(t) - Y(s), s > t.
+    rounding) raises.
+
+    Row t of the matrix covers the pairs Y(t) - Y(s), s > t, and evaluates
+    only the (pair, p) cells that can reach the pair's max.  By Hölder
+    interpolation s -> log |f|_{1/s} is convex, so between two evaluated
+    grid points the chord in s = 1/p bounds log |f|_p from above.  Each row
+    evaluates the coarse columns (every `_COARSE_STEP`-th grid point and the
+    last), then, in one `lp_norm_cells` gather, every other cell whose chord
+    bound times 1 + 1e-12 reaches the max so far.  Every cell is the one the
+    full kernel call gives, so d is the full max bit for bit.  A zero pair
+    is 0 at every p; a chord through a norm below the smallest normal float
+    (whose relative error is unbounded) prunes nothing.  The p= variant is
+    the one-column case.
     """
     if (p is None) == (psi is None):
         raise DomainError("pass exactly one of p= or psi=/grid=")
     if p is not None:
-        pts, scale = np.array([p], dtype=float), 1.0
+        pts = np.array([p], dtype=float)
+        scale = np.ones(1)
     else:
         if grid is None:
             raise DomainError("the grand Lebesgue variant needs a grid")
@@ -141,10 +161,30 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
     weights = family.space.weights
     m = family.m
     norms = (lp_norm_matrix(values, weights, pts) / scale).max(axis=1)
+    coarse = np.unique(np.r_[np.arange(0, pts.size, _COARSE_STEP), pts.size - 1])
+    fine = np.setdiff1d(np.arange(pts.size), coarse)
+    # fine column j lies between the coarse columns lo < j < hi, at chord
+    # weight t of the way from lo to hi in s = 1/p
+    hi = np.searchsorted(coarse, fine)
+    lo = hi - 1
+    s = 1.0 / pts
+    t = (s[coarse[lo]] - s[fine]) / (s[coarse[lo]] - s[coarse[hi]])
     d = np.zeros((m, m))
     for i in range(m - 1):
-        d[i, i + 1:] = (lp_norm_matrix(values[i] - values[i + 1:], weights, pts)
-                        / scale).max(axis=1)
+        diffs = values[i] - values[i + 1:]
+        raw = lp_norm_matrix(diffs, weights, pts[coarse])
+        best = (raw / scale[coarse]).max(axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logd = np.log(np.where(raw >= _TINY, raw, 0.0))
+            chord = (1.0 - t) * logd[:, lo] + t * logd[:, hi]
+            need = ~np.isfinite(chord) | (np.exp(chord) / scale[fine] * (1.0 + 1e-12)
+                                          >= best[:, None])
+        rows, cols = np.nonzero(need & diffs.any(axis=1)[:, None])
+        if rows.size:
+            cols = fine[cols]
+            np.maximum.at(best, rows, lp_norm_cells(diffs, weights, rows, pts[cols])
+                          / scale[cols])
+        d[i, i + 1:] = best
     d += d.T
     metric = SemiMetric(d)
     sigma = float(norms.max())

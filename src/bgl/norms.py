@@ -28,6 +28,7 @@ __all__ = [
     "NormResult",
     "lp_norm",
     "lp_norm_matrix",
+    "lp_norm_cells",
     "bgl_norm",
     "fundamental_function",
     "natural_psi",
@@ -64,28 +65,61 @@ def lp_norm_matrix(values: np.ndarray, weights: np.ndarray, ps: np.ndarray) -> n
     ``values`` is (n_functions, n_atoms); the result is (n_functions, n_p).
     After max-factoring every ratio lies in [0, 1] and the max atom adds its
     full weight, so the weighted sum of powers neither overflows nor
-    underflows to zero.  Rows are independent, so they are walked in chunks
-    whose power tensor stays under ``_KERNEL_BYTES`` (one row at least), and
-    a subset of rows gets bit-identical norms; a subset of ``ps`` does not.
-    Raises DomainError for p < 1 and for a row holding NaN or inf, which the
-    row max (NaN propagates through it) already exposes.
+    underflows to zero.  Each cell is one dot product of its row's powers
+    with the weights, so it depends only on its row and its p: any subset of
+    rows or of ``ps``, and any `lp_norm_cells` gather, gets bit-identical
+    norms.  Rows are walked in chunks whose power tensor stays under
+    ``_KERNEL_BYTES`` (one row at least).  Raises DomainError for p < 1 and
+    for a row holding NaN or inf, which the row max (NaN propagates through
+    it) already exposes.
     """
-    if ps.size and not ps.min() >= 1.0:
-        raise DomainError(f"p must be >= 1, got {ps.min()}")
+    _check_p(ps)
     av = np.abs(np.ascontiguousarray(values, dtype=float))
     w = np.asarray(weights, dtype=float)
     out = np.empty((av.shape[0], ps.size))
     step = max(1, _KERNEL_BYTES // (8 * max(1, ps.size * av.shape[1])))
     for lo in range(0, av.shape[0], step):
-        chunk = av[lo:lo + step]
-        m = chunk.max(axis=1, keepdims=True)
-        if not np.isfinite(m).all():
-            raise DomainError("L_p norm of a function with a NaN or infinite value")
-        # a zero row is divided by 1 and comes out 0 at every p
-        ratios = chunk / np.where(m > 0.0, m, 1.0)
-        sums = np.power(ratios[:, None, :], ps[None, :, None]) @ w
-        out[lo:lo + step] = m * sums ** (1.0 / ps)
+        m, ratios = _scaled(av[lo:lo + step])
+        out[lo:lo + step] = _norms(m, ratios[:, None, :], w, ps[None, :])
     return out
+
+
+def lp_norm_cells(values: np.ndarray, weights: np.ndarray, rows: np.ndarray,
+                  ps: np.ndarray) -> np.ndarray:
+    """The flat cells |values[rows[k]]|_{ps[k]}, each bit-identical to its
+    cell of `lp_norm_matrix`: the same kernel body on a gather of ratio rows
+    and exponents, chunked under the same byte budget."""
+    _check_p(ps)
+    m, ratios = _scaled(np.abs(np.ascontiguousarray(values, dtype=float)))
+    w = np.asarray(weights, dtype=float)
+    out = np.empty(ps.size)
+    step = max(1, _KERNEL_BYTES // (8 * max(1, ratios.shape[1])))
+    for lo in range(0, ps.size, step):
+        idx = rows[lo:lo + step]
+        out[lo:lo + step] = _norms(m[idx, 0], ratios[idx], w, ps[lo:lo + step])
+    return out
+
+
+def _check_p(ps: np.ndarray) -> None:
+    if ps.size and not ps.min() >= 1.0:
+        raise DomainError(f"p must be >= 1, got {ps.min()}")
+
+
+def _scaled(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima (as a column) and the rows divided by them."""
+    m = av.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise DomainError("L_p norm of a function with a NaN or infinite value")
+    # a zero row is divided by 1 and comes out 0 at every p
+    return m, av / np.where(m > 0.0, m, 1.0)
+
+
+def _norms(m: np.ndarray, ratios: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """m * (sum_k w_k ratios_k^p)^(1/p), ``ratios`` (..., atoms) broadcast
+    against ``ps`` (...); `np.vecdot` reduces each cell with its own dot
+    product, where a matmul would block several p columns together."""
+    sums = np.vecdot(np.power(ratios, ps[..., None]), w)
+    return m * sums ** (1.0 / ps)
 
 
 @dataclass(frozen=True)
@@ -171,15 +205,12 @@ def natural_psi(family: FunctionFamily, grid: PGrid) -> PsiFunction:
     The evaluator does only the work its answer depends on, and every value
     is the one the full kernel call would give, bit for bit:
 
-    * a request of exactly ``grid.points`` is answered from the grid table
-      (a column subset of a multi-p kernel call is not bit-identical, so no
-      other request is);
+    * every grid point of a request is read from the grid table;
     * by Lyapunov's inequality n_t(p) = |Y(t)|_p M^(-1/p), M the total mass,
-      is nondecreasing in p.  For a request inside [g_i, g_j], g_i and g_j
-      grid points, member t can attain the max only if
-      n_t(g_j) >= max_s n_s(g_i); the others are not evaluated.  The margin
-      1e-12 is over 1000x the kernel's error, and the norms of a subset of
-      rows are bit-identical to the full call's.
+      is nondecreasing in p.  For the off-grid points of a request, all
+      inside [g_i, g_j], g_i and g_j grid points, member t can attain the
+      max only if n_t(g_j) >= max_s n_s(g_i); the others are not evaluated.
+      The margin 1e-12 is over 1000x the kernel's error.
     """
     values = family.values
     weights = family.space.weights
@@ -194,15 +225,17 @@ def natural_psi(family: FunctionFamily, grid: PGrid) -> PsiFunction:
 
     def ev(p):
         arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if arr.shape == pts.shape and np.array_equal(arr, pts):
-            vals = top.copy()
-        else:
-            i = np.searchsorted(pts, arr.min(), side="right") - 1
-            j = np.searchsorted(pts, arr.max(), side="left")
+        k = np.minimum(np.searchsorted(pts, arr), pts.size - 1)
+        on = pts[k] == arr
+        vals = top[k]
+        if not on.all():
+            off = arr[~on]
+            i = np.searchsorted(pts, off.min(), side="right") - 1
+            j = np.searchsorted(pts, off.max(), side="left")
             rows = values
             if i >= 0 and j < pts.size:
                 rows = values[lyap[:, j] >= lyap[:, i].max() * (1.0 - 1e-12)]
-            vals = lp_norm_matrix(rows, weights, arr).max(axis=0)
+            vals[~on] = lp_norm_matrix(rows, weights, off).max(axis=0)
         return vals if np.asarray(p).ndim else vals[0]
 
     return PsiFunction(1.0, math.inf, ev, label=f"natural[m={family.m}]")

@@ -155,9 +155,12 @@ def _parse(section: str, key: str, raw: str, kind):
     return value
 
 
-def _value(sections: dict, section: str, key: str, kind, default=None):
+def _value(sections: dict, section: str, key: str, kind, default=None, least=None):
     raw = sections.get(section, {}).get(key)
-    return default if raw is None else _parse(section, key, raw, kind)
+    value = default if raw is None else _parse(section, key, raw, kind)
+    if least is not None and value is not None and value < least:
+        raise DomainError(f"[{section}] {key} = {value} must be at least {least}")
+    return value
 
 
 def _values(sections: dict, section: str, key: str, kind):
@@ -221,9 +224,7 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
         put(_CHAIN, "count", _value(sections, "family", "count", int))
         put(_CHAIN, "atoms", _value(sections, "family", "atoms", int))
     elif generator == "disjoint_indicators":
-        members = _value(sections, "family", "members", int, 12)
-        if members < 1:
-            raise DomainError(f"[family] members = {members} must be at least 1")
+        members = _value(sections, "family", "members", int, 12, least=1)
         put(_CHAIN, "family", disjoint_indicator_family(members))
     elif generator == "file":
         put(_CHAIN, "family", _family_file(sections, base))
@@ -260,8 +261,10 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
     put(("doob",), "ps", _values(sections, "martingale", "p", float))
 
     put(("fourier",), "m_list", _values(sections, "fourier", "m_list", int))
-    for key in ("samples", "degree_max", "grid_points"):
-        put(("fourier",), key, _value(sections, "fourier", key, int))
+    put(("fourier",), "samples", _value(sections, "fourier", "samples", int, least=0))
+    # the random polynomials draw their degree from 3..degree_max
+    put(("fourier",), "degree_max", _value(sections, "fourier", "degree_max", int, least=3))
+    put(("fourier",), "grid_points", _value(sections, "fourier", "grid_points", int))
     return params
 
 

@@ -32,7 +32,8 @@ from bgl.fixtures import (
     unit_square_metric,
 )
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction
-from bgl.norms import lp_norm, natural_psi
+from bgl import entropy
+from bgl.norms import lp_norm, lp_norm_matrix, natural_psi
 from bgl.psi import PGrid, constant, power
 
 
@@ -163,6 +164,124 @@ class TestFamilySemimetricCells:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20, peak
+
+
+def full_column_semimetric(fam, psi, grid):
+    """d_psi with every (pair, p) cell evaluated: one kernel call per row."""
+    pts = grid.points
+    scale = psi.eval(pts)
+    values, w = fam.values, fam.space.weights
+    d = np.zeros((fam.m, fam.m))
+    for i in range(fam.m - 1):
+        d[i, i + 1:] = (lp_norm_matrix(values[i] - values[i + 1:], w, pts) / scale).max(axis=1)
+    return d + d.T
+
+
+def trig_family(m, atoms=256, seed=11, degree=32):
+    """Y(t, x) = sum_k k^(-1.5) (g_k(x) cos 2 pi k t + h_k(x) sin 2 pi k t) on
+    the m-point circle lattice, g and h standard normal on uniform atoms."""
+    rng = make_rng(seed)
+    g, h = rng.standard_normal((2, degree, atoms))
+    k = np.arange(1, degree + 1)
+    phase = 2.0 * np.pi * np.outer(np.arange(m) / m, k)
+    values = (np.cos(phase) * k ** -1.5) @ g + (np.sin(phase) * k ** -1.5) @ h
+    return FunctionFamily.from_values(DiscreteMeasureSpace(np.full(atoms, 1.0 / atoms)), values)
+
+
+class TestSemimetricPruning:
+    """family_semimetric evaluates only the cells whose log-convexity chord
+    can reach the row max, and its d is the full-column max bit for bit."""
+
+    GRID = PGrid.log_spaced(1.05, 200.0, 64)
+
+    def count_cells(self, monkeypatch):
+        counted = {"pairs": 0}
+        matrix, cells = entropy.lp_norm_matrix, entropy.lp_norm_cells
+
+        def counted_matrix(values, weights, ps):
+            counted["pairs"] += values.shape[0] * ps.size
+            return matrix(values, weights, ps)
+
+        def counted_cells(values, weights, rows, ps):
+            counted["pairs"] += ps.size
+            return cells(values, weights, rows, ps)
+
+        monkeypatch.setattr(entropy, "lp_norm_matrix", counted_matrix)
+        monkeypatch.setattr(entropy, "lp_norm_cells", counted_cells)
+        return counted
+
+    @pytest.mark.parametrize("family, share", [
+        # random members peak at a coarse column of every pair; the
+        # structured family's pairs need a good share of the fine columns
+        (random_nonneg_family(make_rng(61), 48, 256), (5 / 64, 5 / 64)),
+        (trig_family(64), (0.4, 0.5)),
+    ], ids=["random", "trig"])
+    def test_equals_full_columns(self, family, share, monkeypatch):
+        psi0 = natural_psi(family, self.GRID)
+        want = full_column_semimetric(family, psi0, self.GRID)
+        counted = self.count_cells(monkeypatch)
+        got = family_semimetric(family, psi=psi0, grid=self.GRID).d
+        assert np.array_equal(got, want)
+        # the member norms take m x 64 cells, the pairs the rest
+        m = family.m
+        evaluated = (counted["pairs"] - m * 64) / (m * (m - 1) // 2 * 64)
+        assert share[0] <= evaluated <= share[1], evaluated
+
+    @pytest.mark.parametrize("x", [1e-310, 3e-318, 1e-320])
+    @pytest.mark.parametrize("w", [0.5, 1e-3])
+    def test_subnormal_norms_prune_nothing(self, x, w):
+        # on one atom every log-norm is linear in 1/p, so the chord is tight,
+        # and below the smallest normal float the rounding of a norm is far
+        # above the 1e-12 margin: such chords must keep every cell
+        space = DiscreteMeasureSpace(np.array([w]))
+        fam = FunctionFamily.from_values(space, np.array([[0.0], [x], [3 * x], [7 * x]]))
+        psi0 = natural_psi(fam, self.GRID)
+        got = family_semimetric(fam, psi=psi0, grid=self.GRID).d
+        assert np.array_equal(got, full_column_semimetric(fam, psi0, self.GRID))
+
+
+_MAGNITUDE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, mantissa, exp: sign * mantissa * 10.0 ** exp,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.0), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def adversarial_family(draw):
+    """Up to 6 members on 1-4 atoms, values from 1e-300 to 1e300 (and 0),
+    with zero rows and duplicate members."""
+    m, atoms = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(st.lists(_MAGNITUDE, min_size=atoms, max_size=atoms),
+                                    min_size=m, max_size=m)))
+    for i in range(m):
+        kind = draw(st.sampled_from(["own", "zero", "copy"]))
+        if kind == "zero":
+            values[i] = 0.0
+        elif kind == "copy":
+            values[i] = values[draw(st.integers(0, m - 1))]
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=atoms, max_size=atoms))
+    return FunctionFamily.from_values(DiscreteMeasureSpace(np.array(weights)), values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(adversarial_family(), st.sampled_from(["natural", "constant", "power"]))
+def test_pruning_is_exact_on_adversarial_families(fam, psi_name):
+    grid = PGrid.log_spaced(1.05, 200.0, 40)
+    if psi_name == "natural" and fam.values.any():
+        psi = natural_psi(fam, grid)
+    else:
+        psi = power(1.0) if psi_name == "power" else constant()
+    want = full_column_semimetric(fam, psi, grid)
+    try:
+        got = family_semimetric(fam, psi=psi, grid=grid).d
+    except DomainError:
+        # at 1e300 a tight triangle can round past the check's absolute
+        # 1e-9; the full-column matrix must be rejected the same way
+        with pytest.raises(DomainError, match="triangle"):
+            SemiMetric(want)
+    else:
+        assert np.array_equal(got, want)
 
 
 class TestCoveringNumber:

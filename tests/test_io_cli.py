@@ -195,6 +195,20 @@ class TestScenarioConfig:
         assert cli_main(["chain", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("body, key", [
+        ("[fourier]\ndegree_max = 2\n", "[fourier] degree_max = 2"),
+        ("[fourier]\nsamples = -1\n", "[fourier] samples = -1"),
+        ("[family]\ngenerator = disjoint_indicators\nmembers = 0\n", "[family] members = 0"),
+    ], ids=["degree_max_2", "samples_negative", "members_0"])
+    def test_value_below_its_least_exits_two(self, body, key, tmp_path, capsys):
+        # a value no check can run on is named in one line before any check
+        kind = "fourier" if "fourier" in body else "chain"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\nkind = {kind}\n{body}")
+        assert cli_main([kind, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be at least ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_passes(self, path, tmp_path):
         kind = load_scenario(path).kind

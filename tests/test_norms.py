@@ -21,6 +21,7 @@ from bgl.norms import (
     fundamental_function,
     indicator_norm_check,
     lp_norm,
+    lp_norm_cells,
     lp_norm_matrix,
     mri_norm,
     natural_psi,
@@ -148,10 +149,7 @@ class TestKernelChunks:
         assert np.all(got[step:2 * step] == 0.0) and np.all(got[2 * step:] > 0.0)
 
     def test_row_subsets_are_bit_identical(self):
-        # each row is its own gemv, so a subset of rows gets the full call's
-        # bits (natural_psi evaluates only some members on this); a subset of
-        # the p columns is not bit-identical, because BLAS blocks the gemv
-        # by the number of p
+        # natural_psi evaluates only some members on this
         ps = np.geomspace(1.05, 200.0, 33)
         rng = make_rng(34)
         values, w = rng.uniform(-2.0, 2.0, (40, 256)), rng.uniform(0.1, 2.0, 256)
@@ -159,6 +157,38 @@ class TestKernelChunks:
         for _ in range(50):
             keep = rng.random(40) < 0.3
             assert np.array_equal(lp_norm_matrix(values[keep], w, ps), full[keep])
+
+    @pytest.mark.parametrize("atoms, n_rows, n_p", [
+        (7, 24, 48), (256, 24, 48), (8_193, 5, 8), (65_536, 3, 4),
+    ])
+    def test_every_cell_depends_only_on_its_row_and_p(self, atoms, n_rows, n_p):
+        # row subsets, column subsets, single cells and flat gathers all
+        # take the full call's bits (family_semimetric and natural_psi
+        # evaluate only some cells on this)
+        rng = make_rng(atoms)
+        values = rng.uniform(-1.0, 1.0, (n_rows, atoms))
+        values[1] = 0.0
+        values[2] *= 1e-300
+        w = rng.uniform(0.5, 1.5, atoms) / atoms
+        ps = np.sort(np.r_[1.0, 2.0, rng.uniform(1.0, 200.0, n_p - 2)])
+        full = lp_norm_matrix(values, w, ps)
+        rows = rng.permutation(n_rows)[:n_rows // 2 + 1]
+        cols = rng.permutation(n_p)[:n_p // 2 + 1]
+        assert np.array_equal(lp_norm_matrix(values[rows], w, ps), full[rows])
+        assert np.array_equal(lp_norm_matrix(values, w, ps[cols]), full[:, cols])
+        for i, j in zip(rows, cols):
+            assert lp_norm_matrix(values[i:i + 1], w, ps[j:j + 1])[0, 0] == full[i, j]
+        # a gather of 40 cells is three chunks at 65,536 atoms
+        gather_rows, gather_cols = rng.integers(0, n_rows, 40), rng.integers(0, n_p, 40)
+        got = lp_norm_cells(values, w, gather_rows, ps[gather_cols])
+        assert np.array_equal(got, full[gather_rows, gather_cols])
+
+    def test_cells_reject_what_the_matrix_rejects(self):
+        values, w = np.array([[1.0, 2.0], [np.nan, 0.0]]), np.ones(2)
+        with pytest.raises(DomainError):
+            lp_norm_cells(values[:1], w, np.array([0]), np.array([0.5]))
+        with pytest.raises(DomainError):
+            lp_norm_cells(values, w, np.array([0]), np.array([2.0]))
 
     def test_memory_layout_moves_no_bit(self):
         # a Fortran-ordered or strided matrix (a martingale level's rows are
@@ -398,8 +428,9 @@ class TestNaturalPsi:
 
 
 class TestNaturalPsiExact:
-    """psi0.eval answers from the grid table or from the members that can
-    attain the max; either way it equals the full kernel call's column max."""
+    """psi0.eval answers grid points from the grid table and other points
+    from the members that can attain the max; either way it equals the full
+    kernel call's column max."""
 
     GRID = PGrid.log_spaced(1.05, 60.0, 24)
     G = GRID.points
@@ -412,6 +443,9 @@ class TestNaturalPsiExact:
         "below g_0": np.linspace(1.0, G[2], 9),
         "above g_last": np.linspace(G[-3], 90.0, 9),
         "outside both ends": np.array([1.01, 5.0, 150.0]),
+        "grid subset": G[[2, 5, 6, 17]],
+        "permuted grid": G[np.r_[9, 0, 23, 4, 17, 11]],
+        "mixed": np.array([G[4], 2.2, G[0], 150.0, G[-1], 30.0, G[9], 1.01]),
     }
 
     @staticmethod
@@ -467,12 +501,14 @@ class TestNaturalPsiExact:
         bgl_norm(abs_sup(fam), product_psi(psi0, power(1.0)), grid)
         # the grid pass is one row of |max Y| and psi0 from its table; then
         # each refinement round is |max Y| (one row) and psi0 on the members
-        # that can attain the max
+        # that can attain the max, at the round's off-grid points only: the
+        # first bracket's two ends are grid points
         assert calls[0] == (1, 64)
         rounds = calls[1:]
         assert len(rounds) >= 2 and len(rounds) % 2 == 0
         assert rounds[0::2] == [(1, 33)] * (len(rounds) // 2)
-        assert all(size == 33 and 1 <= rows < fam.m for rows, size in rounds[1::2])
+        assert rounds[1][1] == 31
+        assert all(31 <= size <= 33 and 1 <= rows < fam.m for rows, size in rounds[1::2])
 
 
 class TestMriNorm:
