@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SemiMetric, covering_profile, family_semimetric
+from .entropy import SemiMetric, check_theta, covering_profile, family_semimetric
 from .errors import DomainError, EvaluationError, ModelMismatchError
 from .measure import FunctionFamily, SimpleFunction
 from .norms import (
@@ -396,8 +396,7 @@ def exp_orlicz_bound(family: FunctionFamily, a: float, beta1: float, beta2: floa
     """
     if not (0.0 < beta1 < beta2):
         raise DomainError("need 0 < beta1 < beta2")
-    if not (0.0 < theta < 1.0):
-        raise DomainError("theta must lie in (0, 1)")
+    check_theta(theta)
     gamma = beta2 - beta1
     psi1 = power(beta1, a=a)
     psi2 = power(beta2, a=a)

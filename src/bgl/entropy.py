@@ -348,13 +348,18 @@ class CoveringProfile:
     saturated: bool  # the last level's N reached the number of distinct points
 
 
+def check_theta(theta: float) -> None:
+    """The level ratio of a chaining sum: radii theta^k shrink only for theta in (0, 1)."""
+    if not (0.0 < theta < 1.0):
+        raise DomainError("theta must lie in (0, 1)")
+
+
 def covering_profile(metric: SemiMetric, theta: float, k_max: int,
                      mode: str | None = None) -> CoveringProfile:
     """Covering numbers at eps = theta^k, k = 1..k_max, stopping once the
     levels saturate (singleton balls: N equals the number of distinct points).
     Centers are recorded per level for reuse by the chaining bounds."""
-    if not (0.0 < theta < 1.0):
-        raise DomainError("theta must lie in (0, 1)")
+    check_theta(theta)
     if k_max < 1:
         raise DomainError(f"k_max = {k_max} must be at least 1")
     m = metric.size

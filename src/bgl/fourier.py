@@ -1,22 +1,21 @@
 """Fourier partial sums and the maximal partial-sum operator on [-pi, pi].
 
-Functions are sampled on a uniform K-point grid carrying Lebesgue weights
-2 pi / K; coefficients c(n) = int exp(inx) f(x) dx come from the trapezoid
-rule, which on a uniform periodic grid reproduces trigonometric polynomials
-of degree <= K/4 exactly.  The maximal operator sup_M |s_M| is not
-computable; it is approximated by running maxima over M <= M_max with a
-saturation check across increasing M_max.
+Functions are sampled on the uniform K-point grid x_j = -pi + 2 pi j / K with
+Lebesgue weights 2 pi / K; coefficients c(n) = int exp(inx) f(x) dx come from
+the trapezoid rule, exact on trigonometric polynomials of degree <= K/4.  The
+maximal operator sup_M |s_M| is not computable; it is approximated by running
+maxima over M <= M_max with a saturation check across increasing M_max.
 
-Each call builds one phase table exp(inx), n = -m..m, and reads both the
-coefficients and the partial sums from it.  Only the half n >= 0 is
-exponentiated; row -n is the complex conjugate of row n, which equals
-exp(-inx) bit for bit because the real part of the exponent is zero.
+Every phase on the grid is a K-th root of unity, exp(inx_j) = w^(n (j + K/2)
+mod K) with w = exp(2 pi i / K): the coefficients are one real FFT and the
+partial sums read one K-entry table of roots, so no array exceeds O(K).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +52,12 @@ class FourierSample:
             raise DomainError("need an even grid size K >= 8")
         if self.values.shape != self.x.shape:
             raise DomainError("values must match the grid")
+        if not np.array_equal(self.x, _uniform_grid(k)):
+            raise DomainError("x must be the uniform grid -pi + 2 pi j / K")
+        if not np.array_equal(self.space.weights, np.full(k, 2.0 * math.pi / k)):
+            raise DomainError("weights must all be 2 pi / K")
+        if not (np.isrealobj(self.values) and np.all(np.isfinite(self.values))):
+            raise DomainError("sample values must be real and finite")
 
     @property
     def k_points(self) -> int:
@@ -62,8 +67,12 @@ class FourierSample:
         return SimpleFunction(self.space, self.values)
 
 
+def _uniform_grid(k: int) -> np.ndarray:
+    return -math.pi + 2.0 * math.pi * np.arange(k) / k
+
+
 def sample_function(fn, k: int = 1024) -> FourierSample:
-    x = -math.pi + 2.0 * math.pi * np.arange(k) / k
+    x = _uniform_grid(k)
     values = np.asarray(fn(x), dtype=float)
     space = DiscreteMeasureSpace(np.full(k, 2.0 * math.pi / k))
     return FourierSample(x=x, values=values, space=space)
@@ -89,57 +98,50 @@ def trig_poly_sample(coeffs_cos, coeffs_sin, k: int = 1024) -> FourierSample:
     return sample_function(fn, k)
 
 
-def _phases(sample: FourierSample, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (2m+1, K) table exp(inx) and the coefficients c(n) it gives, for
-    n = -m..m; row and index j hold n = j - m (see `fourier_coefficients`)."""
-    if m > sample.k_points // 4:
-        raise DomainError(
-            f"m={m} too large for K={sample.k_points}; need m <= K/4 to avoid aliasing"
-        )
-    phase = np.zeros((2 * m + 1, sample.k_points), dtype=complex)
-    half = phase[m:]
-    np.multiply.outer(np.arange(m + 1), sample.x, out=half.imag)
-    np.exp(half, out=half)
-    np.conj(phase[:m:-1], out=phase[:m])
-    return phase, phase @ (sample.space.weights * sample.values)
-
-
 def fourier_coefficients(sample: FourierSample, m: int) -> np.ndarray:
-    """c(n) = int_{-pi}^{pi} exp(inx) f(x) dx for n = -m..m (trapezoid rule).
+    """c(n) = int_{-pi}^{pi} exp(inx) f(x) dx for n = -m..m at index n + m; the
+    trapezoid rule is one real FFT, c(n) = (2 pi / K) (-1)^n conj(rfft(f)[n]), and
+    c(-n) = conj(c(n)).  m <= K/4 keeps it alias-free on the functions of interest."""
+    k = sample.k_points
+    if not 0 <= m <= k // 4:
+        raise DomainError(f"m={m} outside 0..K/4 for K={k}; need m <= K/4 to avoid aliasing")
+    half = np.conj(np.fft.rfft(sample.values)[:m + 1]) * (2.0 * math.pi / k)
+    half[1::2] *= -1.0
+    return np.concatenate([np.conj(half[:0:-1]), half])
 
-    Index j of the returned array holds c(j - m).  Requires m <= K/4 so the
-    quadrature stays alias-free on the functions of interest.
-    """
-    return _phases(sample, m)[1]
+
+def _partial_sums(sample: FourierSample, m_top: int):
+    """s_0, s_1, .., s_{m_top} on the grid: s_n adds Re(conj(c(n)) exp(inx_j)) / pi
+    to s_{n-1}, and exp(inx_j) is root n (j + K/2) mod K of a K-entry table."""
+    k = sample.k_points
+    c = fourier_coefficients(sample, m_top)[m_top:]  # c(0..m_top)
+    # exp(2 pi i r / K), r = 0..K-1, computed in long double and rounded once
+    roots = np.exp(np.arange(k) * (8j * np.arctan(np.longdouble(1)) / k)).astype(complex)
+    step = (np.arange(k) + k // 2) % k
+    s = np.full(k, c[0].real / (2.0 * math.pi))
+    yield s
+    for n in range(1, m_top + 1):
+        s = s + (roots[step * n % k] * np.conj(c[n])).real / math.pi
+        yield s
 
 
 def partial_sum(sample: FourierSample, m: int) -> SimpleFunction:
     """s_m[f](x) = (1/2pi) sum_{|n|<=m} c(n) exp(-inx), evaluated on the grid."""
-    phase, c = _phases(sample, m)
-    vals = (c @ np.conj(phase)).real / (2.0 * math.pi)
-    return SimpleFunction(sample.space, vals)
+    return SimpleFunction(sample.space, deque(_partial_sums(sample, m), maxlen=1)[0])
 
 
 def maximal_partial_sums(sample: FourierSample, m_list) -> dict:
     """M -> pointwise max over M' = 1..M of |s_M'[f]|, for each M in m_list;
     one incremental pass over the coefficients up to max(m_list)."""
-    todo = sorted(set(int(m) for m in m_list))
-    if not todo or todo[0] < 1:
-        raise DomainError(f"M list {todo} needs at least one M, each >= 1")
-    m_top = todo[-1]
-    phase, c = _phases(sample, m_top)
-    mid = m_top  # index of c(0)
-    s = np.full(sample.k_points, c[mid].real / (2.0 * math.pi))
-    running = np.zeros(sample.k_points)
-    out = {}
-    for m in range(1, m_top + 1):
-        term = (c[mid + m] * phase[mid - m]
-                + c[mid - m] * phase[mid + m]).real / (2.0 * math.pi)
-        s = s + term
-        np.maximum(running, np.abs(s), out=running)
-        if todo and m == todo[0]:
+    wanted = {int(m) for m in m_list}
+    if not wanted or min(wanted) < 1:
+        raise DomainError(f"M list {sorted(wanted)} needs at least one M, each >= 1")
+    running, out = np.zeros(sample.k_points), {}
+    for m, s in enumerate(_partial_sums(sample, max(wanted))):
+        if m:
+            np.maximum(running, np.abs(s), out=running)
+        if m in wanted:
             out[m] = SimpleFunction(sample.space, running.copy())
-            todo.pop(0)
     return out
 
 
@@ -181,9 +183,7 @@ def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
     # growth test: at every p the final value must not escape the earlier plateau
     ok = len(m_list) < 2 or bool(np.all(rho[-1] <= 1.05 * rho[:-1].max(axis=0)))
     rho_rows = [(float(p), tuple(zip(m_list, col))) for p, col in zip(pts, rho.T)]
-    psi2 = psi_fourier(psi)
     star = maxima[m_list[-1]]
-    norm_ratio = (bgl_norm(star, psi2, grid).value
-                  / bgl_norm(f, psi, grid).value)
+    norm_ratio = bgl_norm(star, psi_fourier(psi), grid).value / bgl_norm(f, psi, grid).value
     return MaximalRatioReport(rho=tuple(rho_rows), saturation_ok=ok,
                               norm_ratio=norm_ratio, m_list=tuple(m_list))

@@ -58,14 +58,16 @@ class MartingaleEnsemble:
     def horizon(self) -> int:
         return int(self.s_values.shape[1])
 
-    def s_at(self, n: int) -> SimpleFunction:
+    def _check_n(self, n: int) -> None:
         if not (1 <= n <= self.horizon):
             raise DomainError(f"n={n} outside 1..{self.horizon}")
+
+    def s_at(self, n: int) -> SimpleFunction:
+        self._check_n(n)
         return SimpleFunction(self.space, self.s_values[:, n - 1])
 
     def running_abs_max(self, n: int) -> SimpleFunction:
-        if not (1 <= n <= self.horizon):
-            raise DomainError(f"n={n} outside 1..{self.horizon}")
+        self._check_n(n)
         return SimpleFunction(self.space, np.max(np.abs(self.s_values[:, :n]), axis=1))
 
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,8 +78,7 @@ class MartingaleEnsemble:
         contiguous); a Monte Carlo ensemble, and n = horizon, return the
         full path space.
         """
-        if not (1 <= n <= self.horizon):
-            raise DomainError(f"n={n} outside 1..{self.horizon}")
+        self._check_n(n)
         if not self.exhaustive or n == self.horizon:
             return self.space.weights, self.s_values[:, :n]
         return (self.space.weights.reshape(self.base ** n, -1).sum(axis=1),

@@ -457,6 +457,14 @@ class TestExpOrlicz:
         with pytest.raises(DomainError):
             exp_orlicz_bound(disjoint_indicator_family(2), 1.0, 1.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, float("nan")])
+    def test_theta_outside_unit_interval_rejected(self, theta):
+        fam = disjoint_indicator_family(2)
+        with pytest.raises(DomainError, match=r"^theta must lie in \(0, 1\)$"):
+            exp_orlicz_bound(fam, 1.0, 0.5, 1.5, theta)
+        with pytest.raises(DomainError, match=r"^theta must lie in \(0, 1\)$"):
+            covering_profile(family_semimetric(fam, p=2.0), theta, 8)
+
 
 class TestMriChaining:
     def test_single_node_reduces_to_entropy_sum(self):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 from bgl.errors import DomainError
 from bgl.fixtures import make_rng, random_trig_coeffs
 from bgl.fourier import (
+    FourierSample,
     fourier_coefficients,
     maximal_partial_sum,
     maximal_partial_sums,
@@ -16,6 +19,7 @@ from bgl.fourier import (
     square_wave_sample,
     trig_poly_sample,
 )
+from bgl.measure import DiscreteMeasureSpace
 from bgl.norms import lp_norm, lp_norm_matrix
 from bgl.psi import PGrid, constant
 
@@ -69,39 +73,138 @@ def _phase_samples(k):
             sample_function(lambda x: np.exp(np.sin(3.0 * x)) - x, k)]
 
 
+LD = np.longdouble
+
+
+def _oracle(values, m_top, checkpoints):
+    """Extended-precision reference on the exact grid: the phase of exp(inx_j)
+    is 2 pi r / K at the integer r = n (j + K/2) mod K, in long double.
+    Returns c(0..m_top) and the running maxima of |s_M| at the checkpoints."""
+    k = values.size
+    f = values.astype(LD)
+    pi = 4 * np.arctan(LD(1))
+    turn = np.arange(k).astype(LD) * (2 * pi / k)
+    cos, sin = np.cos(turn), np.sin(turn)
+    step = (np.arange(k) + k // 2) % k
+    coef = []
+    for n in range(m_top + 1):
+        r = n * step % k
+        coef.append((2 * pi / k * np.sum(f * cos[r]), 2 * pi / k * np.sum(f * sin[r])))
+    s = np.full(k, coef[0][0] / (2 * pi))
+    running = np.zeros(k, dtype=LD)
+    maxima = {}
+    for n in range(1, max(checkpoints) + 1):
+        r = n * step % k
+        s = s + (coef[n][0] * cos[r] + coef[n][1] * sin[r]) / pi
+        np.maximum(running, np.abs(s), out=running)
+        if n in checkpoints:
+            maxima[n] = running.copy()
+    return coef, maxima
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= np.finfo(float).eps,
+                    reason="the oracle needs an extended long double")
 class TestPhaseTable:
-    """The conjugate half-table gives the same bits as exponentiating every row."""
+    """Coefficients and running maxima against an extended-precision oracle
+    on the exact grid, at tolerances that phases exp(i n x_j) taken in double
+    would miss: n * x_j carries n times the rounding of x_j."""
 
     @pytest.mark.parametrize("k", [8, 64, 1024, 4096])
     def test_coefficients_equal_full_exponential(self, k):
         m = k // 4
-        samples = _phase_samples(k)
-        full = np.exp(1j * np.outer(np.arange(-m, m + 1), samples[0].x))
-        for s in samples:
-            expected = full @ (s.space.weights * s.values)
-            assert np.array_equal(fourier_coefficients(s, m), expected)
-
-    @pytest.mark.parametrize("k", [64, 1024, 4096])
-    def test_running_maxima_equal_per_step_exponentials(self, k):
-        checkpoints = sorted({1, 5, k // 16, min(k // 4, 256)})
         for s in _phase_samples(k):
-            # the incremental pass with two exponentials per step
-            m_top = max(checkpoints)
-            c = fourier_coefficients(s, m_top)
-            cur = np.full(k, c[m_top].real / (2.0 * math.pi))
-            running = np.zeros(k)
-            expected = {}
-            for m in range(1, m_top + 1):
-                term = (c[m_top + m] * np.exp(-1j * m * s.x)
-                        + c[m_top - m] * np.exp(1j * m * s.x)).real / (2.0 * math.pi)
-                cur = cur + term
-                np.maximum(running, np.abs(cur), out=running)
-                if m in checkpoints:
-                    expected[m] = running.copy()
+            coef, _ = _oracle(s.values, m, [1])
+            ref = np.array([complex(float(re), float(im)) for re, im in coef])
+            got = fourier_coefficients(s, m)
+            assert np.max(np.abs(got[m:] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [8, 64, 1024, 4096])
+    def test_running_maxima_equal_per_step_exponentials(self, k):
+        checkpoints = sorted(m for m in {1, 5, k // 16, min(k // 4, 256)} if 1 <= m <= k // 4)
+        for s in _phase_samples(k):
+            _, ref = _oracle(s.values, max(checkpoints), checkpoints)
             got = maximal_partial_sums(s, checkpoints)
             assert sorted(got) == checkpoints
             for m in checkpoints:
-                assert np.array_equal(got[m].values, expected[m]), m
+                err = np.max(np.abs(got[m].values - ref[m]))
+                assert err <= 4e-15 * np.max(ref[m]), (m, float(err))
+
+    def test_oracle_against_mpmath(self):
+        # spot cells at 30 digits: the long-double phases and the coefficients
+        k = 64
+        s = _phase_samples(k)[2]
+        coef, _ = _oracle(s.values, 16, [1])
+        got = fourier_coefficients(s, 16)
+        step = (np.arange(k) + k // 2) % k
+        with mpmath.workdps(30):
+            for n in (1, 7, 16):
+                c = sum(mpmath.mpf(float(v)) * mpmath.expjpi(mpmath.mpf(2 * int(r)) / k)
+                        for v, r in zip(s.values, n * step % k)) * 2 * mpmath.pi / k
+                for part, ours, oracle in ((c.real, got[16 + n].real, coef[n][0]),
+                                           (c.imag, got[16 + n].imag, coef[n][1])):
+                    scale = abs(c)
+                    assert abs(mpmath.mpf(str(oracle)) - part) <= 1e-17 * scale, n
+                    assert abs(ours - part) <= 1e-15 * scale, n
+
+    @pytest.mark.parametrize("k", [8, 1024])
+    def test_negative_frequencies_are_conjugates(self, k):
+        m = k // 4
+        for s in _phase_samples(k):
+            c = fourier_coefficients(s, m)
+            assert np.array_equal(c[:m][::-1], np.conj(c[m + 1:]))
+
+    def test_memory_budget(self):
+        # O(K) arrays only: a (2m+1) x K complex table alone would be 32 MiB
+        s = square_wave_sample(4096)
+        tracemalloc.start()
+        try:
+            maximal_partial_sums(s, [256])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
+
+
+class TestSampleBoundary:
+    """A sample off the uniform grid, off its weights, or with a complex or
+    non-finite value is rejected with a one-line DomainError."""
+
+    def _raises(self, x, values, weights):
+        with pytest.raises(DomainError) as err:
+            FourierSample(x=x, values=values, space=DiscreteMeasureSpace(weights))
+        assert "\n" not in str(err.value)
+
+    def test_uniform_sample_accepted(self):
+        s = square_wave_sample(64)
+        FourierSample(x=s.x.copy(), values=s.values.copy(),
+                      space=DiscreteMeasureSpace(s.space.weights.copy()))
+
+    def test_grid_off_by_one_ulp_rejected(self):
+        s = square_wave_sample(64)
+        x = s.x.copy()
+        x[5] = np.nextafter(x[5], np.inf)
+        self._raises(x, s.values, s.space.weights)
+        self._raises(np.linspace(-math.pi, math.pi, 64), s.values, s.space.weights)
+
+    def test_weights_other_than_two_pi_over_k_rejected(self):
+        s = square_wave_sample(64)
+        w = s.space.weights.copy()
+        w[3] = np.nextafter(w[3], 0.0)
+        self._raises(s.x, s.values, w)
+        self._raises(s.x, s.values, np.full(64, 1.0 / 64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        s = square_wave_sample(64)
+        values = s.values.copy()
+        values[10] = bad
+        self._raises(s.x, values, s.space.weights)
+        with pytest.raises(DomainError):
+            sample_function(lambda x: np.where(x == 0.0, bad, 1.0), 64)
+
+    def test_complex_values_rejected(self):
+        s = square_wave_sample(64)
+        self._raises(s.x, s.values + 1j * s.values, s.space.weights)
 
 
 class TestMaximalPartialSum:

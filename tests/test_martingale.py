@@ -89,6 +89,13 @@ class TestEnsemble:
         ens = build_walk_ensemble(25, monte_carlo=True, n_paths=500)
         assert not ens.exhaustive and ens.space.n_atoms == 500
 
+    @pytest.mark.parametrize("method", ["s_at", "running_abs_max", "level"])
+    @pytest.mark.parametrize("n", [0, 5, -1])
+    def test_n_outside_horizon_rejected(self, method, n):
+        ens = build_walk_ensemble(4)
+        with pytest.raises(DomainError, match=rf"^n={n} outside 1\.\.4$"):
+            getattr(ens, method)(n)
+
 
 class TestDoob:
     def test_n_equals_one_ratio_one(self):
