@@ -33,6 +33,7 @@ from .norms import (
     MriNormSpec,
     bgl_norm,
     fundamental_function,
+    grid_sups,
     lp_norm_matrix,
     mri_norm,
 )
@@ -68,13 +69,6 @@ def exact_sup(family: FunctionFamily) -> SimpleFunction:
 def abs_sup(family: FunctionFamily) -> SimpleFunction:
     """Pointwise max of |Y(t, x)|, the quantity the bounds actually control."""
     return SimpleFunction(family.space, np.abs(family.values).max(axis=0))
-
-
-def _max_member_norm(family: FunctionFamily, pts: np.ndarray, psi: PsiFunction) -> float:
-    """max over members t and points p of |Y(t)|_p / psi(p), one batched
-    kernel call."""
-    norms = lp_norm_matrix(family.values, family.space.weights, pts)
-    return float((norms / psi.eval(pts)).max())
 
 
 def _lp_norms(family: FunctionFamily, p: float) -> tuple[float, float, float]:
@@ -140,11 +134,11 @@ def generalized_pisier_bound(family: FunctionFamily, psi: PsiFunction,
     inequality chain cannot be flipped by grid discretization.
     """
     exact, exact_signed = _exact_sides(family, product_psi(psi, nu), grid)
-    extra = [exact.p_star]
     # grid-plus-p_star evaluation suffices for domination; member-level
     # refinement would only enlarge the bound at m times the cost
-    member = _max_member_norm(family, grid.with_extra(extra), psi)
-    phi = fundamental_function(nu, float(family.m), grid, extra_points=extra)
+    pts = grid.with_extra([exact.p_star])
+    member = float(grid_sups([family.values], family.space.weights, pts, psi.eval(pts))[0].max())
+    phi = fundamental_function(nu, float(family.m), grid, extra_points=[exact.p_star])
     return GeneralizedPisierResult(
         bound=member * phi,
         exact=exact.value,
@@ -248,13 +242,13 @@ def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunc
         metric = family_semimetric(family, psi=psi, grid=grid)
     zeta = product_psi(psi, nu)
     exact, exact_signed = _exact_sides(family, zeta, grid)
-    extra = [exact.p_star]
-    anchor = _max_member_norm(family, grid.with_extra(extra), zeta)
+    pts = grid.with_extra([exact.p_star])
+    anchor = float(grid_sups([family.values], family.space.weights, pts, zeta.eval(pts))[0].max())
     phi = {}
 
     def factor(n):
         if n not in phi:
-            phi[n] = fundamental_function(nu, float(n), grid, extra_points=extra)
+            phi[n] = fundamental_function(nu, float(n), grid, extra_points=[exact.p_star])
         return phi[n]
 
     return tuple(_chaining_report(metric, theta, k_max, factor, anchor,

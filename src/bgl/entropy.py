@@ -14,6 +14,7 @@ rejecting any distance matrix that is not exactly symmetric.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, SizeError
 from .measure import FunctionFamily
-from .norms import lp_norm_cells, lp_norm_matrix
+from .norms import grid_sups
 from .psi import PGrid, PsiFunction
 
 __all__ = [
@@ -42,13 +43,6 @@ EXACT_COVER_LIMIT = 24
 # stays in cache, where comparing d with its strided transpose does not
 _SYMMETRY_TILE = 64
 
-# `family_semimetric` evaluates every _COARSE_STEP-th grid column of a row
-# first.  With 64 p, random families need only those columns (7.8% of the
-# cells at a step of 16, 14.1% at 8); a random trigonometric series needs
-# 46% of the cells at 16 and 36% at 8
-_COARSE_STEP = 16
-_TINY = np.finfo(float).tiny
-
 
 def _exactly_symmetric(d: np.ndarray) -> bool:
     """d == d.T cell for cell (NaN never equals itself), compared tile
@@ -65,8 +59,8 @@ def _exactly_symmetric(d: np.ndarray) -> bool:
 @dataclass(frozen=True)
 class SemiMetric:
     """Symmetric nonnegative matrix with zero diagonal and the triangle
-    inequality (checked to 1e-9 absolute on construction; a violation signals
-    a bug in the norm that produced the distances)."""
+    inequality (checked to 1e-9 max(1, diameter) on construction; a
+    violation signals a bug in the norm that produced the distances)."""
 
     d: np.ndarray
     trusted: bool = False  # metrics exact by construction may skip the O(m^3) check
@@ -83,8 +77,9 @@ class SemiMetric:
         if np.any(d < 0) or not np.all(np.isfinite(d)):
             raise DomainError("distances must be finite and nonnegative")
         if not self.trusted:
+            slack = 1e-9 * max(1.0, float(d.max(initial=0.0)))
             for j in range(d.shape[0]):
-                if np.max(d - (d[:, j][:, None] + d[j, :][None, :])) > 1e-9:
+                if np.max(d - (d[:, j][:, None] + d[j, :][None, :])) > slack:
                     raise DomainError(f"triangle inequality violated through point {j}")
 
     @property
@@ -135,17 +130,8 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
     inequality exact up to rounding; a diameter above 2 sigma (beyond
     rounding) raises.
 
-    Row t of the matrix covers the pairs Y(t) - Y(s), s > t, and evaluates
-    only the (pair, p) cells that can reach the pair's max.  By Hölder
-    interpolation s -> log |f|_{1/s} is convex, so between two evaluated
-    grid points the chord in s = 1/p bounds log |f|_p from above.  Each row
-    evaluates the coarse columns (every `_COARSE_STEP`-th grid point and the
-    last), then, in one `lp_norm_cells` gather, every other cell whose chord
-    bound times 1 + 1e-12 reaches the max so far.  Every cell is the one the
-    full kernel call gives, so d is the full max bit for bit.  A zero pair
-    is 0 at every p; a chord through a norm below the smallest normal float
-    (whose relative error is unbounded) prunes nothing.  The p= variant is
-    the one-column case.
+    `grid_sups` takes the member norms, then row t of the matrix, the pairs
+    Y(t) - Y(s), s > t, one row at a time.  The p= variant is one column.
     """
     if (p is None) == (psi is None):
         raise DomainError("pass exactly one of p= or psi=/grid=")
@@ -158,33 +144,12 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
         pts = psi.check_support(grid.points)
         scale = psi.eval(pts)
     values = family.values
-    weights = family.space.weights
     m = family.m
-    norms = (lp_norm_matrix(values, weights, pts) / scale).max(axis=1)
-    coarse = np.unique(np.r_[np.arange(0, pts.size, _COARSE_STEP), pts.size - 1])
-    fine = np.setdiff1d(np.arange(pts.size), coarse)
-    # fine column j lies between the coarse columns lo < j < hi, at chord
-    # weight t of the way from lo to hi in s = 1/p
-    hi = np.searchsorted(coarse, fine)
-    lo = hi - 1
-    s = 1.0 / pts
-    t = (s[coarse[lo]] - s[fine]) / (s[coarse[lo]] - s[coarse[hi]])
+    blocks = itertools.chain([values], (values[i] - values[i + 1:] for i in range(m - 1)))
+    norms, *rows = grid_sups(blocks, family.space.weights, pts, scale)
     d = np.zeros((m, m))
-    for i in range(m - 1):
-        diffs = values[i] - values[i + 1:]
-        raw = lp_norm_matrix(diffs, weights, pts[coarse])
-        best = (raw / scale[coarse]).max(axis=1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logd = np.log(np.where(raw >= _TINY, raw, 0.0))
-            chord = (1.0 - t) * logd[:, lo] + t * logd[:, hi]
-            need = ~np.isfinite(chord) | (np.exp(chord) / scale[fine] * (1.0 + 1e-12)
-                                          >= best[:, None])
-        rows, cols = np.nonzero(need & diffs.any(axis=1)[:, None])
-        if rows.size:
-            cols = fine[cols]
-            np.maximum.at(best, rows, lp_norm_cells(diffs, weights, rows, pts[cols])
-                          / scale[cols])
-        d[i, i + 1:] = best
+    for i, row in enumerate(rows):
+        d[i, i + 1:] = row
     d += d.T
     metric = SemiMetric(d)
     sigma = float(norms.max())

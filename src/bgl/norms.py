@@ -29,6 +29,7 @@ __all__ = [
     "lp_norm",
     "lp_norm_matrix",
     "lp_norm_cells",
+    "grid_sups",
     "bgl_norm",
     "fundamental_function",
     "natural_psi",
@@ -47,6 +48,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # working memory stops growing with the row count.  On a 4,560 x 256 x 64
 # call, budgets of 1-16 MiB ran equally fast and 32 MiB or more slower.
 _KERNEL_BYTES = 8 << 20
+
+# `grid_sups` evaluates every _COARSE_STEP-th column of a row block first.
+# With 64 p, random families need only those columns (7.8% of the cells at
+# a step of 16, 14.1% at 8); a random trigonometric series needs 46% of the
+# cells at 16 and 36% at 8
+_COARSE_STEP = 16
 
 
 def lp_norm(f: SimpleFunction, p) -> float | np.ndarray:
@@ -97,6 +104,44 @@ def lp_norm_cells(values: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     for lo in range(0, ps.size, step):
         idx = rows[lo:lo + step]
         out[lo:lo + step] = _norms(m[idx, 0], ratios[idx], w, ps[lo:lo + step])
+    return out
+
+
+def grid_sups(blocks, weights: np.ndarray, pts: np.ndarray, scale: np.ndarray) -> list:
+    """Per row block, ``(lp_norm_matrix(block, weights, pts) / scale).max(axis=1)``
+    bit for bit, from only the cells that can reach a row's max.
+
+    ``pts`` is sorted; ``blocks`` is read one at a time.  By Hölder
+    interpolation s -> log |f|_{1/s} is convex, so between two evaluated
+    points the chord in s = 1/p bounds log |f|_p from above.  Each block
+    evaluates the coarse columns (every `_COARSE_STEP`-th point and the
+    last), then gathers (`lp_norm_cells`, the kernel's own cells) each other
+    cell whose chord bound times 1 + 1e-12 reaches its row's max so far.  A
+    zero row is 0 at every p; a chord through a norm below the smallest
+    normal float (whose relative error is unbounded) prunes nothing.
+    """
+    last = pts.size - 1
+    coarse = np.append(np.arange(0, last, _COARSE_STEP), last)
+    fine = np.flatnonzero(np.arange(last) % _COARSE_STEP)
+    # fine column j lies between coarse[lo] < j < coarse[lo + 1], at chord
+    # weight t of the way from the first to the second in s = 1/p
+    lo = fine // _COARSE_STEP
+    s = 1.0 / pts
+    t = (s[coarse[lo]] - s[fine]) / (s[coarse[lo]] - s[coarse[lo + 1]])
+    out = []
+    for rows in blocks:
+        raw = lp_norm_matrix(rows, weights, pts[coarse])
+        best = (raw / scale[coarse]).max(axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logd = np.log(np.where(raw >= np.finfo(float).tiny, raw, 0.0))
+            chord = (1.0 - t) * logd[:, lo] + t * logd[:, lo + 1]
+            need = ~np.isfinite(chord) | (np.exp(chord) / scale[fine] * (1.0 + 1e-12)
+                                          >= best[:, None])
+        r, c = np.nonzero(need & rows.any(axis=1)[:, None])
+        if r.size:
+            c = fine[c]
+            np.maximum.at(best, r, lp_norm_cells(rows, weights, r, pts[c]) / scale[c])
+        out.append(best)
     return out
 
 

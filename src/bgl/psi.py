@@ -246,7 +246,6 @@ class LogConvexityReport:
     passed: bool
     worst_violation: float
     worst_triple: tuple[float, float, float] | None = None
-    tol: float = 1e-9
 
 
 def check_log_convex(psi: PsiFunction, grid: PGrid) -> LogConvexityReport:

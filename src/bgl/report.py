@@ -32,11 +32,6 @@ class Report:
     meta: dict
     records: list = field(default_factory=list)
 
-    def add(self, name: str, passed: bool | None, **fields) -> Record:
-        rec = Record(name=name, passed=passed, fields=fields)
-        self.records.append(rec)
-        return rec
-
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records if r.passed is not None)

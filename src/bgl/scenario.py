@@ -271,10 +271,12 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
 def run_scenario(scn: Scenario, p_max: float | None = None,
                  tol: float | None = None) -> Report:
     """Run the scenario's criteria.  ``p_max`` replaces every p_max, the
-    config's included; ``tol`` replaces every domination tolerance."""
+    config's included; ``tol`` replaces every domination tolerance (DomainError if none)."""
     if p_max is not None and not math.isfinite(p_max):
         raise DomainError(f"p_max must be finite, got {p_max}")
     _check_tol(tol)
+    if tol is not None and not set(VERBS[scn.kind]) & set(_TOL):
+        raise DomainError(f"no {scn.kind} criterion takes a tolerance")
     params = {}
     for name in VERBS[scn.kind]:
         kw = dict(scn.params.get(name, {}))

@@ -12,7 +12,7 @@ import pkgutil
 
 import bgl
 
-LIMIT = 63
+LIMIT = 62
 
 
 def _defaulted(fn) -> list:

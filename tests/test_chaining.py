@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgl import chaining
 from bgl.chaining import (
     abs_sup,
     chained_product_bound,
@@ -25,7 +26,14 @@ from bgl.entropy import covering_profile, family_semimetric
 from bgl.errors import DomainError, ModelMismatchError
 from bgl.fixtures import disjoint_indicator_family, make_rng, random_nonneg_family
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction
-from bgl.norms import MriNormSpec, bgl_norm, fundamental_function, lp_norm, natural_psi
+from bgl.norms import (
+    MriNormSpec,
+    bgl_norm,
+    fundamental_function,
+    lp_norm,
+    lp_norm_matrix,
+    natural_psi,
+)
 from bgl.psi import PGrid, constant, doob_factor, power, product_psi
 
 
@@ -335,6 +343,27 @@ class TestChainedProductBound:
         phi_m = fundamental_function(constant(), 16.0, GRID)
         assert phi_m == pytest.approx(16.0 ** (1.0 / GRID.points[0]), rel=1e-12)
         assert rep.tail_estimate == pytest.approx(0.5 / 0.5 * phi_m, rel=1e-12)
+
+
+class TestMemberMaxPruning:
+    """The generalized Pisier member side and the chained anchor take their
+    max through grid_sups; the reports equal those from the full table."""
+
+    @pytest.mark.parametrize("seed, m, atoms", [(71, 2, 48), (72, 12, 48), (73, 8, 256)])
+    def test_reports_equal_full_table(self, seed, m, atoms, monkeypatch):
+        fam = random_nonneg_family(make_rng(seed), m, atoms)
+        cases = [(natural_psi(fam, GRID), power(1.0)), (power(0.5), doob_factor()),
+                 (constant(), constant())]
+
+        def reports():
+            return [(generalized_pisier_bound(fam, psi, nu, GRID),
+                     chained_product_bounds(fam, psi, nu, GRID, (0.3, 0.5, 0.7)))
+                    for psi, nu in cases]
+
+        got = reports()
+        monkeypatch.setattr(chaining, "grid_sups", lambda blocks, w, pts, scale: [
+            (lp_norm_matrix(rows, w, pts) / scale).max(axis=1) for rows in blocks])
+        assert got == reports()
 
 
 class TestPolynomialEntropy:

@@ -32,8 +32,8 @@ from bgl.fixtures import (
     unit_square_metric,
 )
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction
-from bgl import entropy
-from bgl.norms import lp_norm, lp_norm_matrix, natural_psi
+from bgl import norms
+from bgl.norms import grid_sups, lp_norm, lp_norm_matrix, natural_psi
 from bgl.psi import PGrid, constant, power
 
 
@@ -100,6 +100,27 @@ class TestSemiMetric:
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(DomainError):
             SemiMetric(d)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_planted_violation_rejected_at_any_scale(self, scale):
+        # d(0, 2) exceeds d(0, 1) + d(1, 2) by 5e-9 of the diameter
+        d = scale * np.array([[0.0, 1.0, 2.00000001], [1.0, 0.0, 1.0], [2.00000001, 1.0, 0.0]])
+        with pytest.raises(DomainError, match="triangle"):
+            SemiMetric(d)
+
+    def test_tight_triangles_near_1e300_accepted(self):
+        # on one atom every distance is |x_t - x_s| w^(1/p), so each triangle
+        # through three collinear members is tight and rounds by about 1e-16
+        # of the diameter, far above an absolute 1e-9 at 1e300
+        rng = make_rng(5)
+        grid = PGrid.log_spaced(1.05, 200.0, 40)
+        for _ in range(20):
+            m = int(rng.integers(3, 7))
+            vals = rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 9.0, m) * 1e299
+            space = DiscreteMeasureSpace(rng.uniform(1e-3, 1e3, 1))
+            fam = FunctionFamily.from_values(space, vals[:, None])
+            got = family_semimetric(fam, psi=constant(), grid=grid).d
+            assert np.array_equal(got, full_column_semimetric(fam, constant(), grid))
 
     def test_identical_functions_zero_matrix(self):
         space = DiscreteMeasureSpace(np.ones(4))
@@ -195,19 +216,19 @@ class TestSemimetricPruning:
     GRID = PGrid.log_spaced(1.05, 200.0, 64)
 
     def count_cells(self, monkeypatch):
-        counted = {"pairs": 0}
-        matrix, cells = entropy.lp_norm_matrix, entropy.lp_norm_cells
+        counted = {"cells": 0}
+        matrix, cells = norms.lp_norm_matrix, norms.lp_norm_cells
 
         def counted_matrix(values, weights, ps):
-            counted["pairs"] += values.shape[0] * ps.size
+            counted["cells"] += values.shape[0] * ps.size
             return matrix(values, weights, ps)
 
         def counted_cells(values, weights, rows, ps):
-            counted["pairs"] += ps.size
+            counted["cells"] += ps.size
             return cells(values, weights, rows, ps)
 
-        monkeypatch.setattr(entropy, "lp_norm_matrix", counted_matrix)
-        monkeypatch.setattr(entropy, "lp_norm_cells", counted_cells)
+        monkeypatch.setattr(norms, "lp_norm_matrix", counted_matrix)
+        monkeypatch.setattr(norms, "lp_norm_cells", counted_cells)
         return counted
 
     @pytest.mark.parametrize("family, share", [
@@ -222,9 +243,14 @@ class TestSemimetricPruning:
         counted = self.count_cells(monkeypatch)
         got = family_semimetric(family, psi=psi0, grid=self.GRID).d
         assert np.array_equal(got, want)
-        # the member norms take m x 64 cells, the pairs the rest
+        # the m member rows for sigma are pruned too; their cells, counted
+        # alone, leave the pair rows' share
+        total, counted["cells"] = counted["cells"], 0
+        pts = self.GRID.points
+        grid_sups([family.values], family.space.weights, pts, psi0.eval(pts))
         m = family.m
-        evaluated = (counted["pairs"] - m * 64) / (m * (m - 1) // 2 * 64)
+        assert counted["cells"] < m * 64
+        evaluated = (total - counted["cells"]) / (m * (m - 1) // 2 * 64)
         assert share[0] <= evaluated <= share[1], evaluated
 
     @pytest.mark.parametrize("x", [1e-310, 3e-318, 1e-320])
@@ -238,6 +264,49 @@ class TestSemimetricPruning:
         psi0 = natural_psi(fam, self.GRID)
         got = family_semimetric(fam, psi=psi0, grid=self.GRID).d
         assert np.array_equal(got, full_column_semimetric(fam, psi0, self.GRID))
+
+
+class TestGridSups:
+    """grid_sups gives each row block's full-table max over the points bit
+    for bit, whatever the point count and wherever the last point falls."""
+
+    @staticmethod
+    def full(rows, w, pts, scale):
+        return (lp_norm_matrix(rows, w, pts) / scale).max(axis=1)
+
+    @staticmethod
+    def family(kind):
+        if kind == "random":
+            return random_nonneg_family(make_rng(62), 24, 256)
+        if kind == "trig":
+            return trig_family(32)
+        # a zero row, rows with norms below the smallest normal float, and
+        # rows just above it
+        values = np.zeros((8, 4))
+        values[1, 0], values[2, :2], values[3, 3] = 1e-310, (3e-318, 1e-320), 1e-320
+        values[4:] = make_rng(63).uniform(0.0, 1e-300, (4, 4))
+        space = DiscreteMeasureSpace(np.array([0.5, 1e-3, 1.0, 2.0]))
+        return FunctionFamily.from_values(space, values)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 64, 65])
+    @pytest.mark.parametrize("kind", ["random", "trig", "subnormal"])
+    def test_equals_full_table(self, kind, n):
+        fam = self.family(kind)
+        grid = PGrid.log_spaced(1.05, 200.0, 64)
+        if n == 64:
+            pts = grid.points
+        elif n == 65:
+            # the grid and one refined p*: the last index, 64, is coarse
+            pts = grid.with_extra([7.3])
+        else:
+            pts = np.geomspace(1.5, 150.0, n)
+        values, w = fam.values, fam.space.weights
+        blocks = [values, values[0] - values[1:], values[:0]]
+        for scale in (np.ones(n), natural_psi(fam, grid).eval(pts), power(1.0).eval(pts)):
+            got = grid_sups(iter(blocks), w, pts, scale)
+            assert len(got) == 3
+            for rows, sup in zip(blocks, got):
+                assert np.array_equal(sup, self.full(rows, w, pts, scale))
 
 
 _MAGNITUDE = st.one_of(
@@ -282,6 +351,22 @@ def test_pruning_is_exact_on_adversarial_families(fam, psi_name):
             SemiMetric(want)
     else:
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(adversarial_family(), st.sampled_from(["natural", "constant", "power"]),
+       st.sampled_from([None, 7.3]))
+def test_grid_sups_exact_on_adversarial_families(fam, psi_name, extra):
+    grid = PGrid.log_spaced(1.05, 200.0, 40)
+    if psi_name == "natural" and fam.values.any():
+        psi = natural_psi(fam, grid)
+    else:
+        psi = power(1.0) if psi_name == "power" else constant()
+    pts = grid.with_extra(None if extra is None else [extra])
+    values, w, scale = fam.values, fam.space.weights, psi.eval(pts)
+    blocks = [values, values[0] - values]
+    for rows, sup in zip(blocks, grid_sups(blocks, w, pts, scale)):
+        assert np.array_equal(sup, TestGridSups.full(rows, w, pts, scale))
 
 
 class TestCoveringNumber:

@@ -47,11 +47,11 @@ class TestColumnarFormat:
 
 class TestReportFormats:
     def make_report(self):
-        rep = Report(meta={"kind": "demo", "seed": 3})
-        rep.add("alpha", True, value=1.5, count=2)
-        rep.add("beta", False, reason="wrong")
-        rep.add("gamma", None, note="informational")
-        return rep
+        return Report(meta={"kind": "demo", "seed": 3}, records=[
+            Record("alpha", True, {"value": 1.5, "count": 2}),
+            Record("beta", False, {"reason": "wrong"}),
+            Record("gamma", None, {"note": "informational"}),
+        ])
 
     def test_text_is_stable_and_flagged(self):
         rep = self.make_report()
@@ -283,6 +283,18 @@ class TestCli:
     def test_bad_flag_rejected(self, verb, flag, capsys):
         assert cli_main([verb, *flag]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("verb", KINDS)
+    def test_tol_only_where_a_criterion_takes_it(self, verb, tmp_path, capsys):
+        # the capped grid fails every grid check, so an accepted run ends fast
+        out = tmp_path / "report.txt"
+        code = cli_main([verb, "--tol", "0.5", "--p-max", "0.5", "--out", str(out)])
+        if verb in ("chain", "martingale", "suite"):
+            assert code == 1 and out.exists()
+        else:
+            assert code == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_finite_family_file_exits_two(self, tmp_path, capsys):
         (tmp_path / "fam.tsv").write_text("# atom_id weight a b\n0 1.0 nan 1.0\n1 1.0 2.0 3.0\n")
