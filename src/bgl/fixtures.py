@@ -33,14 +33,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 64 - 1)))
 
 
-def random_nonneg_family(rng: np.random.Generator, m: int, n_atoms: int = 48,
-                         space: DiscreteMeasureSpace | None = None) -> FunctionFamily:
+def random_nonneg_family(rng: np.random.Generator, m: int, n_atoms: int = 48) -> FunctionFamily:
     """m nonnegative members with O(1) values and O(1) mutual distances, on
-    atom weights of total mass about 1 bounded away from zero by default."""
-    if space is None:
-        space = DiscreteMeasureSpace(rng.uniform(0.5, 1.5, size=n_atoms) / n_atoms)
-    values = rng.uniform(0.0, 1.0, size=(m, space.n_atoms))
-    return FunctionFamily.from_values(space, values)
+    atom weights of total mass about 1 bounded away from zero."""
+    space = DiscreteMeasureSpace(rng.uniform(0.5, 1.5, size=n_atoms) / n_atoms)
+    return FunctionFamily.from_values(space, rng.uniform(0.0, 1.0, size=(m, n_atoms)))
 
 
 def disjoint_indicator_family(m: int) -> FunctionFamily:

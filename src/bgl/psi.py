@@ -245,7 +245,7 @@ def psi_fourier(psi: PsiFunction) -> PsiFunction:
 class LogConvexityReport:
     passed: bool
     worst_violation: float
-    worst_triple: tuple[float, float, float] | None = None
+    worst_triple: tuple[float, float, float] | None
 
 
 def check_log_convex(psi: PsiFunction, grid: PGrid) -> LogConvexityReport:

@@ -11,7 +11,11 @@ through its verb:
     fourier     fourier
     suite       all eleven (the series bounds run only here)
 
-A config only overrides parameters; an absent key keeps the suite's value.
+A config only overrides parameters; an absent key keeps the suite's value,
+and a section set for a kind that runs none of the criteria it goes to is
+rejected.  `--p-max` and `--tol` replace the value, the config's included,
+of every criterion of the verb that declares `p_max` or `tol`; a verb none
+of whose criteria declares it rejects the flag.
 Grammar (INI-style, parsed by configparser), with the criteria each key
 goes to:
 
@@ -79,7 +83,7 @@ from .fixtures import disjoint_indicator_family
 from .measure import load_family
 from .psi import constant, doob_factor, from_table, power, ratio
 from .report import Report
-from .suite import NATURAL, VERBS, run_criteria
+from .suite import NATURAL, VERBS, run_criteria, takes
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "default_scenario"]
 
@@ -99,8 +103,6 @@ _KNOWN_KEYS = {
 
 _CHAIN = ("pisier", "generalized_pisier", "chained_bound")
 _GRID = ("generalized_pisier", "chained_bound", "indicator")
-# the criteria whose domination tolerance --tol overrides
-_TOL = _CHAIN + ("block_chain",)
 
 
 @dataclass(frozen=True)
@@ -211,78 +213,86 @@ def _family_file(sections: dict, base: Path):
 def _params(sections: dict, kind: str, base: Path) -> dict:
     """Criterion name -> keyword overrides for every key the config sets."""
     params = {name: {} for name in VERBS["suite"]}
+    given, reached = set(), set()
 
-    def put(names, key, value):
+    def put(section, names, key, value):
         if value is not None:
+            given.add(section)
             for name in names:
                 params[name][key] = value
+                if name in VERBS[kind]:
+                    reached.add(section)
 
     generator = sections.get("family", {}).get("generator", "random_nonneg")
     if generator == "random_nonneg":
         members = _value(sections, "family", "members", int)
-        put(_CHAIN, "members", None if members is None else (members, members + 1))
-        put(_CHAIN, "count", _value(sections, "family", "count", int))
-        put(_CHAIN, "atoms", _value(sections, "family", "atoms", int))
+        put("family", _CHAIN, "members", None if members is None else (members, members + 1))
+        put("family", _CHAIN, "count", _value(sections, "family", "count", int))
+        put("family", _CHAIN, "atoms", _value(sections, "family", "atoms", int))
     elif generator == "disjoint_indicators":
         members = _value(sections, "family", "members", int, 12, least=1)
-        put(_CHAIN, "family", disjoint_indicator_family(members))
+        put("family", _CHAIN, "family", disjoint_indicator_family(members))
     elif generator == "file":
-        put(_CHAIN, "family", _family_file(sections, base))
+        put("family", _CHAIN, "family", _family_file(sections, base))
     else:
         raise DomainError(f"unknown family generator {generator!r}")
 
     psi, nu = _psi(sections, "psi"), _psi(sections, "nu")
     if psi is not None or nu is not None:
-        put(("generalized_pisier",), "pairs", [(NATURAL if psi is None else psi,
-                                                power(1.0) if nu is None else nu)])
-    put(("chained_bound",), "psi", psi)
-    put(("chained_bound",), "nus", None if nu is None else [nu])
+        put("psi" if psi is not None else "nu", ("generalized_pisier",), "pairs",
+            [(NATURAL if psi is None else psi, power(1.0) if nu is None else nu)])
+    put("psi", ("chained_bound",), "psi", psi)
+    put("nu", ("chained_bound",), "nus", None if nu is None else [nu])
     if psi is NATURAL and "indicator" in VERBS[kind]:
         raise DomainError("psi name 'natural' needs a family; the indicator check has none")
-    put(("indicator",), "psis", None if psi is None else [psi])
+    put("psi", ("indicator",), "psis", None if psi is None else [psi])
 
-    put(_GRID, "grid_lo", _value(sections, "grid", "lo", float))
-    put(_GRID, "grid_n", _value(sections, "grid", "n", int))
-    put(_GRID, "p_max", _value(sections, "grid", "p_max", float))
+    put("grid", _GRID, "grid_lo", _value(sections, "grid", "lo", float))
+    put("grid", _GRID, "grid_n", _value(sections, "grid", "n", int))
+    put("grid", _GRID, "p_max", _value(sections, "grid", "p_max", float))
 
-    put(("chained_bound",), "thetas", _values(sections, "chain", "theta", float))
-    put(("chained_bound",), "k_max", _value(sections, "chain", "k_max", int))
+    put("chain", ("chained_bound",), "thetas", _values(sections, "chain", "theta", float))
+    put("chain", ("chained_bound",), "k_max", _value(sections, "chain", "k_max", int))
     tol = _value(sections, "chain", "tol", float)
     _check_tol(tol)
-    put(_CHAIN, "tol", tol)
+    put("chain", _CHAIN, "tol", tol)
 
-    put(("indicator",), "deltas", _values(sections, "norm", "deltas", float))
-    put(("indicator",), "atoms", _value(sections, "norm", "atoms", int))
-    put(("indicator",), "atom_mass", _value(sections, "norm", "atom_mass", float))
+    put("norm", ("indicator",), "deltas", _values(sections, "norm", "deltas", float))
+    put("norm", ("indicator",), "atoms", _value(sections, "norm", "atoms", int))
+    put("norm", ("indicator",), "atom_mass", _value(sections, "norm", "atom_mass", float))
 
     horizon = _value(sections, "martingale", "horizon", int)
-    put(("doob",), "horizons", None if horizon is None else (horizon,))
-    put(("block_chain",), "horizon", horizon)
-    put(("doob",), "ps", _values(sections, "martingale", "p", float))
+    put("martingale", ("doob",), "horizons", None if horizon is None else (horizon,))
+    put("martingale", ("block_chain",), "horizon", horizon)
+    put("martingale", ("doob",), "ps", _values(sections, "martingale", "p", float))
 
-    put(("fourier",), "m_list", _values(sections, "fourier", "m_list", int))
-    put(("fourier",), "samples", _value(sections, "fourier", "samples", int, least=0))
+    put("fourier", ("fourier",), "m_list", _values(sections, "fourier", "m_list", int))
+    put("fourier", ("fourier",), "samples", _value(sections, "fourier", "samples", int, least=0))
     # the random polynomials draw their degree from 3..degree_max
-    put(("fourier",), "degree_max", _value(sections, "fourier", "degree_max", int, least=3))
-    put(("fourier",), "grid_points", _value(sections, "fourier", "grid_points", int))
+    put("fourier", ("fourier",), "degree_max",
+        _value(sections, "fourier", "degree_max", int, least=3))
+    put("fourier", ("fourier",), "grid_points", _value(sections, "fourier", "grid_points", int))
+    if given - reached:
+        raise DomainError(f"[{min(given - reached)}] reaches no {kind} criterion")
     return params
 
 
 def run_scenario(scn: Scenario, p_max: float | None = None,
                  tol: float | None = None) -> Report:
-    """Run the scenario's criteria.  ``p_max`` replaces every p_max, the
-    config's included; ``tol`` replaces every domination tolerance (DomainError if none)."""
+    """Run the scenario's criteria.  ``p_max`` and ``tol`` each replace the
+    value, the config's included, of every criterion that declares them;
+    DomainError if none of the verb's criteria does."""
     if p_max is not None and not math.isfinite(p_max):
         raise DomainError(f"p_max must be finite, got {p_max}")
     _check_tol(tol)
-    if tol is not None and not set(VERBS[scn.kind]) & set(_TOL):
-        raise DomainError(f"no {scn.kind} criterion takes a tolerance")
-    params = {}
-    for name in VERBS[scn.kind]:
-        kw = dict(scn.params.get(name, {}))
-        if p_max is not None:
-            kw.pop("p_max", None)
-        if tol is not None and name in _TOL:
-            kw["tol"] = tol
-        params[name] = kw
+    names = VERBS[scn.kind]
+    params = {name: dict(scn.params.get(name, {})) for name in names}
+    for key, value in (("p_max", p_max), ("tol", tol)):
+        if value is None:
+            continue
+        takers = [name for name in names if takes(name, key)]
+        if not takers:
+            raise DomainError(f"no {scn.kind} criterion takes {key}")
+        for name in takers:
+            params[name][key] = value
     return run_criteria(scn.kind, scn.seed, 200.0 if p_max is None else p_max, params)

@@ -10,6 +10,7 @@ into a deterministic report: same seed, byte-identical structured output.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 
@@ -113,9 +114,8 @@ class _Margins:
 # --- 1. finite maximal inequality: domination and sharpness -----------------
 
 
-def criterion_pisier(seed: int, p_max: float = 200.0, *, count: int = 200,
-                     members: tuple = (2, 33), atoms: int = 48, family=None,
-                     tol: float = 1e-10) -> Record:
+def criterion_pisier(seed: int, *, count: int = 200, members: tuple = (2, 33),
+                     atoms: int = 48, family=None, tol: float = 1e-10) -> Record:
     rng = make_rng(seed)
     ps = [1.5, 2.0, 4.0, 8.0]
     margins = _Margins(tol)
@@ -242,7 +242,7 @@ def _brute_force_cover(metric: SemiMetric, eps: float) -> int:
     return m
 
 
-def criterion_covering_oracle(seed: int, p_max: float = 200.0) -> Record:
+def criterion_covering_oracle(seed: int) -> Record:
     rng = make_rng(seed)
     mismatches = 0
     for i in range(200):
@@ -258,7 +258,7 @@ def criterion_covering_oracle(seed: int, p_max: float = 200.0) -> Record:
 # --- 7. entropy dimension of fine grids --------------------------------------
 
 
-def criterion_dimension(seed: int, p_max: float = 200.0) -> Record:
+def criterion_dimension(seed: int) -> Record:
     # periodic lattices: the wraparound metric removes the boundary bias of
     # the centered-ball estimator, and dyadic alignment keeps the mid-range
     # covering numbers on the exact 2^k / 4^k ladder
@@ -274,7 +274,7 @@ def criterion_dimension(seed: int, p_max: float = 200.0) -> Record:
 # --- 8. the elementary series bounds -----------------------------------------
 
 
-def criterion_series(seed: int, p_max: float = 200.0) -> Record:
+def criterion_series(seed: int) -> Record:
     qs = [0.5, 0.7, 0.9, 0.99]
     closed_ok = True
     worst_closed = 0.0
@@ -306,8 +306,7 @@ def criterion_series(seed: int, p_max: float = 200.0) -> Record:
 # --- 9. the Doob maximal inequality, exactly ---------------------------------
 
 
-def criterion_doob(seed: int, p_max: float = 200.0, *, horizons=(10, 14),
-                   ps=(1.25, 2.0, 4.0)) -> Record:
+def criterion_doob(seed: int, *, horizons=(10, 14), ps=(1.25, 2.0, 4.0)) -> Record:
     worst_slack = math.inf
     ok = True
     checked = 0
@@ -393,20 +392,27 @@ VERBS = {
 }
 
 
+def takes(name: str, param: str) -> bool:
+    """Whether criterion ``name`` declares the keyword ``param``."""
+    return param in inspect.signature(CRITERIA[NAMES.index(name)]).parameters
+
+
 def run_criteria(kind: str, seed: int, p_max: float = 200.0, params=None) -> Report:
     """Run the criteria of one verb at the suite's sub-seeds seed*1000 + index.
 
-    ``params`` maps a criterion name to keyword overrides.  A ValueError (the
-    base of bgl's domain errors) raised inside a check becomes a failed
-    record carrying its sub-seed, so the rest of the run still reports.
+    ``p_max`` goes to the criteria that declare it.  ``params`` maps a
+    criterion name to keyword overrides.  A ValueError (the base of bgl's
+    domain errors) raised inside a check becomes a failed record carrying
+    its sub-seed, so the rest of the run still reports.
     """
     params = params or {}
     report = Report(meta={"kind": kind, "seed": seed, "p_max": p_max})
     for name in VERBS[kind]:
         i = NAMES.index(name)
         sub_seed = seed * 1000 + i
+        kw = {"p_max": p_max} if takes(name, "p_max") else {}
         try:
-            rec = CRITERIA[i](sub_seed, **{"p_max": p_max, **params.get(name, {})})
+            rec = CRITERIA[i](sub_seed, **{**kw, **params.get(name, {})})
         except ValueError as exc:
             rec = Record(name, False, fields=dict(seed=sub_seed, error=str(exc)))
         report.records.append(rec)

@@ -12,7 +12,7 @@ import pkgutil
 
 import bgl
 
-LIMIT = 62
+LIMIT = 58
 
 
 def _defaulted(fn) -> list:

@@ -209,6 +209,26 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be at least ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, body, section", [
+        ("fourier", "[chain]\ntol = 5\n", "chain"),
+        ("martingale", "[chain]\ntol = 5\n", "chain"),
+        ("chain", "[martingale]\nhorizon = 12\n", "martingale"),
+        ("entropy", "[grid]\nn = 32\n", "grid"),
+        ("norm", "[nu]\nname = power\n", "nu"),
+        ("fourier", "[family]\ngenerator = disjoint_indicators\n", "family"),
+    ], ids=["fourier_chain_tol", "martingale_chain_tol", "chain_martingale_horizon",
+            "entropy_grid_n", "norm_nu", "fourier_family"])
+    def test_key_reaching_no_criterion_exits_two(self, kind, body, section, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\nkind = {kind}\n{body}")
+        with pytest.raises(DomainError, match=rf"^\[{section}\] reaches no {kind} criterion$"):
+            load_scenario(cfg)
+        out = tmp_path / "report.txt"
+        assert cli_main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_passes(self, path, tmp_path):
         kind = load_scenario(path).kind
@@ -295,6 +315,18 @@ class TestCli:
             assert code == 2 and not out.exists()
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", KINDS)
+    def test_p_max_only_where_a_criterion_takes_it(self, verb, tmp_path, capsys):
+        # no valid p-grid lies below 1.1, so an accepted run fails its grid checks
+        out = tmp_path / "report.txt"
+        code = cli_main([verb, "--p-max", "0.5", "--out", str(out)])
+        if verb == "entropy":
+            assert code == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 1 and out.exists()
 
     def test_non_finite_family_file_exits_two(self, tmp_path, capsys):
         (tmp_path / "fam.tsv").write_text("# atom_id weight a b\n0 1.0 nan 1.0\n1 1.0 2.0 3.0\n")

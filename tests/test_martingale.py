@@ -85,9 +85,9 @@ class TestEnsemble:
         with pytest.raises(SizeError):
             build_walk_ensemble(21)
 
-    def test_monte_carlo_flag(self):
-        ens = build_walk_ensemble(25, monte_carlo=True, n_paths=500)
-        assert not ens.exhaustive and ens.space.n_atoms == 500
+    def test_horizon_cap_is_one_line_naming_the_limit(self):
+        with pytest.raises(SizeError, match=r"^horizon 21 > 20: enumeration too large$"):
+            build_walk_ensemble(21)
 
     @pytest.mark.parametrize("method", ["s_at", "running_abs_max", "level"])
     @pytest.mark.parametrize("n", [0, 5, -1])
@@ -214,18 +214,6 @@ class TestLevels:
         assert weights is ens.space.weights
         assert np.array_equal(s, ens.s_values)
 
-    def test_monte_carlo_runs_on_all_paths(self):
-        ens = build_walk_ensemble(25, monte_carlo=True, n_paths=400)
-        for n in (1, 7, 25):
-            weights, s = ens.level(n)
-            assert weights is ens.space.weights
-            assert np.array_equal(s, ens.s_values[:, :n])
-        for p in (1.25, 3.0):
-            rep = doob_check(ens, p, 7)
-            assert rep.max_norm == lp_norm(ens.running_abs_max(7), p)
-            member = max(lp_norm(ens.s_at(k), p) for k in range(1, 8))
-            assert rep.member_norm_max == pytest.approx(member, rel=1e-14, abs=0)
-
     @pytest.mark.parametrize("n", [0, -1, 7])
     def test_n_outside_horizon_rejected(self, n):
         ens = build_walk_ensemble(6)
@@ -284,8 +272,3 @@ class TestBlockChain:
             assert b.doob_margin >= -1e-12
             assert b.moment_margin >= -1e-12
             assert b.factor > 0
-
-    def test_monte_carlo_rejected(self):
-        ens = build_walk_ensemble(25, monte_carlo=True, n_paths=200)
-        with pytest.raises(PreconditionError):
-            martingale_block_check(ens, constant(), norming_identity(), GRID)

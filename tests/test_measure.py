@@ -3,7 +3,7 @@ import pytest
 
 from bgl.chaining import abs_sup, exact_sup
 from bgl.errors import DomainError
-from bgl.fixtures import make_rng, random_nonneg_family
+from bgl.fixtures import make_rng
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, pointwise_max
 
 
@@ -29,7 +29,7 @@ class TestFunctionFamily:
             FunctionFamily.from_values(self.SPACE, np.ones((3, 4)), labels=("a", "b"))
 
     def test_members_are_the_rows(self):
-        fam = random_nonneg_family(make_rng(61), 7, 4, space=self.SPACE)
+        fam = FunctionFamily.from_values(self.SPACE, make_rng(61).uniform(0.0, 1.0, size=(7, 4)))
         assert fam.labels == tuple(f"t{i}" for i in range(7))
         for i, f in enumerate(fam.members):
             assert f.space is self.SPACE
@@ -46,7 +46,7 @@ class TestFunctionFamily:
         assert matrix.flags.writeable
 
     def test_scale_multiplies_the_matrix(self):
-        fam = random_nonneg_family(make_rng(62), 5, 4, space=self.SPACE)
+        fam = FunctionFamily.from_values(self.SPACE, make_rng(62).uniform(0.0, 1.0, size=(5, 4)))
         scaled = fam.scale(-3.0)
         assert scaled.labels == fam.labels and scaled.space is fam.space
         assert np.array_equal(scaled.values, fam.values * -3.0)
