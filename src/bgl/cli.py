@@ -43,9 +43,7 @@ def main(argv=None) -> int:
         if args.config:
             scn = load_scenario(args.config)
             if scn.kind != args.kind:
-                print(f"config is a {scn.kind!r} scenario, verb was {args.kind!r}",
-                      file=sys.stderr)
-                return 2
+                raise DomainError(f"config is a {scn.kind!r} scenario, verb was {args.kind!r}")
         else:
             scn = default_scenario(args.kind)
         if args.seed is not None:

@@ -103,12 +103,10 @@ def _verify_martingale(s: np.ndarray, probs: np.ndarray, n_values: int, tol: flo
 def build_walk_ensemble(horizon: int, increments=None, probs=None) -> MartingaleEnsemble:
     """Random walk S_n = sum of i.i.d. mean-zero increments, n = 1..horizon.
 
-    Default law is the symmetric +-1 step.  Enumeration needs horizon <= 20.
+    Default law is the symmetric +-1 step.  Enumeration needs len(increments)^horizon <= 2^20.
     """
     if horizon < 1:
         raise DomainError(f"horizon = {horizon} must be at least 1")
-    if horizon > EXHAUSTIVE_HORIZON_LIMIT:
-        raise SizeError(f"horizon {horizon} > {EXHAUSTIVE_HORIZON_LIMIT}: enumeration too large")
     if increments is None:
         increments = np.array([-1.0, 1.0])
         probs = np.array([0.5, 0.5])
@@ -116,6 +114,12 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None) -> Martingale
         increments = np.asarray(increments, dtype=float)
         probs = (np.full(increments.size, 1.0 / increments.size)
                  if probs is None else np.asarray(probs, dtype=float))
+    base = increments.size
+    limit = EXHAUSTIVE_HORIZON_LIMIT
+    while base ** limit > 2 ** EXHAUSTIVE_HORIZON_LIMIT:
+        limit -= 1
+    if horizon > limit:
+        raise SizeError(f"horizon {horizon} > {limit}: enumeration too large")
     if abs(float(np.dot(probs, increments))) > 1e-12:
         raise PreconditionError("increment law must have mean zero")
     if abs(float(probs.sum()) - 1.0) > 1e-12:
@@ -123,7 +127,6 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None) -> Martingale
     if float(np.dot(probs, increments ** 2)) <= 0.0:
         raise PreconditionError("increment law must have positive variance")
 
-    base = increments.size
     idx = np.arange(base ** horizon)
     digits = np.empty((idx.size, horizon), dtype=np.int64)
     for col in range(horizon):

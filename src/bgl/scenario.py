@@ -30,17 +30,17 @@ goes to:
 
     [psi]                   ; generalized_pisier, chained_bound, indicator
     name = power            ; constant | power | doob_factor | ratio | table | natural
-    beta = 1.0              ; power; kappa for ratio, points/values for table
+    beta = 1.0              ; power only; kappa for ratio, points/values for table
 
     [nu]                    ; generalized_pisier, chained_bound
-    name = doob_factor
+    name = doob_factor      ; names and their keys as in [psi]
 
     [family]                ; pisier, generalized_pisier, chained_bound
     generator = random_nonneg   ; random_nonneg | disjoint_indicators | file
-    members = 12
-    atoms = 48
-    count = 20
-    path = family.tsv           ; for generator = file, relative to this file
+    members = 12                ; read by random_nonneg and disjoint_indicators
+    atoms = 48                  ; read by random_nonneg only
+    count = 20                  ; read by random_nonneg only
+                                ; generator = file reads only path, relative to this file
 
     [chain]                 ; theta, k_max: chained_bound; tol: all three
     theta = 0.3 0.5 0.7
@@ -66,16 +66,17 @@ Set together, [psi] and [nu] name generalized_pisier's single (psi, nu)
 pair; one left out is natural or power 1 respectively.  `natural` is the
 self-normalizing psi of each family, so the indicator check rejects it.
 
-Values are parsed and validated when the file loads: unknown sections and
-keys, bad numbers and unknown names raise DomainError before any check
-runs.  Errors inside a check become failed records.
+Values are parsed and validated when the file loads: unknown sections, a
+key the config does not read (say `beta` under `name = ratio`), bad numbers
+and unknown names raise DomainError before any check runs.  Errors inside a
+check become failed records.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import DomainError
@@ -89,17 +90,7 @@ __all__ = ["Scenario", "load_scenario", "run_scenario", "default_scenario"]
 
 KINDS = tuple(VERBS)
 
-_KNOWN_KEYS = {
-    "scenario": {"kind", "seed"},
-    "grid": {"lo", "p_max", "n"},
-    "psi": {"name", "beta", "kappa", "points", "values"},
-    "nu": {"name", "beta", "kappa", "points", "values"},
-    "family": {"generator", "members", "atoms", "count", "path"},
-    "chain": {"theta", "k_max", "tol"},
-    "norm": {"deltas", "atoms", "atom_mass"},
-    "martingale": {"horizon", "p"},
-    "fourier": {"m_list", "degree_max", "samples", "grid_points"},
-}
+_SECTIONS = ("scenario", "grid", "psi", "nu", "family", "chain", "norm", "martingale", "fourier")
 
 _CHAIN = ("pisier", "generalized_pisier", "chained_bound")
 _GRID = ("generalized_pisier", "chained_bound", "indicator")
@@ -131,19 +122,21 @@ def load_scenario(path) -> Scenario:
         raise DomainError("config needs a [scenario] section with a kind")
     sections = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise DomainError(f"unknown section [{section}]")
-        body = dict(parser[section])
-        unknown = set(body) - _KNOWN_KEYS[section]
-        if unknown:
-            raise DomainError(f"unknown keys {sorted(unknown)} in [{section}]")
-        sections[section] = body
-    kind = sections["scenario"].get("kind")
-    if kind not in KINDS:
-        raise DomainError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    seed = _value(sections, "scenario", "seed", int, 1)
-    return Scenario(kind=kind, seed=seed,
-                    params=_params(sections, kind, Path(path).parent))
+        sections[section] = dict(parser[section])
+    scn = default_scenario(_take(sections, "scenario", "kind"),
+                           _value(sections, "scenario", "seed", int, 1))
+    scn = replace(scn, params=_params(sections, scn.kind, Path(path).parent))
+    # every read takes its key out, so a key left over is one this config never reads
+    for section, body in sections.items():
+        if body:
+            raise DomainError(f"[{section}] {min(body)} is not read by this config")
+    return scn
+
+
+def _take(sections: dict, section: str, key: str, default=None):
+    return sections.get(section, {}).pop(key, default)
 
 
 def _parse(section: str, key: str, raw: str, kind):
@@ -158,7 +151,7 @@ def _parse(section: str, key: str, raw: str, kind):
 
 
 def _value(sections: dict, section: str, key: str, kind, default=None, least=None):
-    raw = sections.get(section, {}).get(key)
+    raw = _take(sections, section, key)
     value = default if raw is None else _parse(section, key, raw, kind)
     if least is not None and value is not None and value < least:
         raise DomainError(f"[{section}] {key} = {value} must be at least {least}")
@@ -166,7 +159,7 @@ def _value(sections: dict, section: str, key: str, kind, default=None, least=Non
 
 
 def _values(sections: dict, section: str, key: str, kind):
-    raw = sections.get(section, {}).get(key)
+    raw = _take(sections, section, key)
     if raw is None:
         return None
     if not raw.split():
@@ -180,7 +173,7 @@ def _check_tol(tol) -> None:
 
 
 def _psi(sections: dict, section: str):
-    name = sections.get(section, {}).get("name")
+    name = _take(sections, section, "name")
     if name is None:
         return None
     if name == "natural":
@@ -200,7 +193,7 @@ def _psi(sections: dict, section: str):
 
 
 def _family_file(sections: dict, base: Path):
-    raw = sections["family"].get("path")
+    raw = _take(sections, "family", "path")
     if raw is None:
         raise DomainError("generator = file needs a path")
     path = base / raw
@@ -223,12 +216,12 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
                 if name in VERBS[kind]:
                     reached.add(section)
 
-    generator = sections.get("family", {}).get("generator", "random_nonneg")
+    generator = _take(sections, "family", "generator", "random_nonneg")
     if generator == "random_nonneg":
-        members = _value(sections, "family", "members", int)
+        members = _value(sections, "family", "members", int, least=1)
         put("family", _CHAIN, "members", None if members is None else (members, members + 1))
         put("family", _CHAIN, "count", _value(sections, "family", "count", int))
-        put("family", _CHAIN, "atoms", _value(sections, "family", "atoms", int))
+        put("family", _CHAIN, "atoms", _value(sections, "family", "atoms", int, least=1))
     elif generator == "disjoint_indicators":
         members = _value(sections, "family", "members", int, 12, least=1)
         put("family", _CHAIN, "family", disjoint_indicator_family(members))
@@ -248,7 +241,7 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
     put("psi", ("indicator",), "psis", None if psi is None else [psi])
 
     put("grid", _GRID, "grid_lo", _value(sections, "grid", "lo", float))
-    put("grid", _GRID, "grid_n", _value(sections, "grid", "n", int))
+    put("grid", _GRID, "grid_n", _value(sections, "grid", "n", int, least=2))
     put("grid", _GRID, "p_max", _value(sections, "grid", "p_max", float))
 
     put("chain", ("chained_bound",), "thetas", _values(sections, "chain", "theta", float))
@@ -258,7 +251,7 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
     put("chain", _CHAIN, "tol", tol)
 
     put("norm", ("indicator",), "deltas", _values(sections, "norm", "deltas", float))
-    put("norm", ("indicator",), "atoms", _value(sections, "norm", "atoms", int))
+    put("norm", ("indicator",), "atoms", _value(sections, "norm", "atoms", int, least=1))
     put("norm", ("indicator",), "atom_mass", _value(sections, "norm", "atom_mass", float))
 
     horizon = _value(sections, "martingale", "horizon", int)
@@ -271,7 +264,8 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
     # the random polynomials draw their degree from 3..degree_max
     put("fourier", ("fourier",), "degree_max",
         _value(sections, "fourier", "degree_max", int, least=3))
-    put("fourier", ("fourier",), "grid_points", _value(sections, "fourier", "grid_points", int))
+    put("fourier", ("fourier",), "grid_points",
+        _value(sections, "fourier", "grid_points", int, least=8))
     if given - reached:
         raise DomainError(f"[{min(given - reached)}] reaches no {kind} criterion")
     return params

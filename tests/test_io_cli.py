@@ -199,7 +199,15 @@ class TestScenarioConfig:
         ("[fourier]\ndegree_max = 2\n", "[fourier] degree_max = 2"),
         ("[fourier]\nsamples = -1\n", "[fourier] samples = -1"),
         ("[family]\ngenerator = disjoint_indicators\nmembers = 0\n", "[family] members = 0"),
-    ], ids=["degree_max_2", "samples_negative", "members_0"])
+        ("[family]\nmembers = 0\n", "[family] members = 0"),
+        ("[family]\nmembers = -3\n", "[family] members = -3"),
+        ("[family]\natoms = -1\n", "[family] atoms = -1"),
+        ("[norm]\natoms = -2\n", "[norm] atoms = -2"),
+        ("[grid]\nn = -5\n", "[grid] n = -5"),
+        ("[fourier]\ngrid_points = -8\n", "[fourier] grid_points = -8"),
+    ], ids=["degree_max_2", "samples_negative", "members_0", "random_members_0",
+            "random_members_negative", "family_atoms_negative", "norm_atoms_negative",
+            "grid_n_negative", "grid_points_negative"])
     def test_value_below_its_least_exits_two(self, body, key, tmp_path, capsys):
         # a value no check can run on is named in one line before any check
         kind = "fourier" if "fourier" in body else "chain"
@@ -228,6 +236,53 @@ class TestScenarioConfig:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body, key", [
+        ("[psi]\nbeta = 3\n", "[psi] beta"),
+        ("[family]\npath = nothere.tsv\n", "[family] path"),
+        ("[psi]\nname = power\nkappa = 2\n", "[psi] kappa"),
+        ("[family]\ngenerator = disjoint_indicators\ncount = 3\n", "[family] count"),
+        ("[nu]\nname = constant\npoints = 1 2\n", "[nu] points"),
+    ], ids=["beta_without_name", "path_without_file", "kappa_for_power",
+            "count_for_disjoint", "points_for_constant"])
+    def test_key_the_config_does_not_read_exits_two(self, body, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\nkind = chain\n{body}")
+        with pytest.raises(DomainError, match=rf"^{re.escape(key)} is not read by this config$"):
+            load_scenario(cfg)
+        out = tmp_path / "report.txt"
+        assert cli_main(["chain", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {key} is not read by this config\n"
+
+    def test_every_documented_key_loads(self, tmp_path):
+        # no table lists the keys: each one is accepted only because a read takes it
+        save_family(tmp_path / "fam.tsv", random_nonneg_family(make_rng(55), 3, 8))
+        suite_cfg = tmp_path / "suite.cfg"
+        suite_cfg.write_text(
+            "[scenario]\nkind = suite\nseed = 3\n"
+            "[grid]\nlo = 1.1\np_max = 50\nn = 16\n"
+            "[psi]\nname = table\npoints = 1 2 4\nvalues = 1 2 3\n"
+            "[nu]\nname = ratio\nkappa = 2\n"
+            "[family]\ngenerator = random_nonneg\nmembers = 3\natoms = 8\ncount = 2\n"
+            "[chain]\ntheta = 0.5\nk_max = 8\ntol = 1e-9\n"
+            "[norm]\ndeltas = 0.5\natoms = 16\natom_mass = 0.0625\n"
+            "[martingale]\nhorizon = 4\np = 2\n"
+            "[fourier]\nm_list = 8\ndegree_max = 4\nsamples = 1\ngrid_points = 64\n")
+        params = load_scenario(suite_cfg).params
+        assert params["fourier"] == {"m_list": (8,), "samples": 1, "degree_max": 4,
+                                     "grid_points": 64}
+        assert params["doob"] == {"horizons": (4,), "ps": (2.0,)}
+        assert params["indicator"]["atom_mass"] == 0.0625
+        assert params["chained_bound"]["members"] == (3, 4)
+        assert params["chained_bound"]["nus"][0].label == "ratio[2]"
+        assert params["chained_bound"]["psi"](np.array([3.0])) == pytest.approx(6 ** 0.5)
+        file_cfg = tmp_path / "file.cfg"
+        file_cfg.write_text("[scenario]\nkind = chain\n"
+                            "[family]\ngenerator = file\npath = fam.tsv\n"
+                            "[psi]\nname = power\nbeta = 2\n")
+        params = load_scenario(file_cfg).params["chained_bound"]
+        assert params["family"].values.shape == (3, 8) and params["psi"].label == "power[2]"
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_passes(self, path, tmp_path):
@@ -258,6 +313,10 @@ class TestCli:
         cfg = tmp_path / "norm.cfg"
         cfg.write_text("[scenario]\nkind = norm\n")
         assert cli_main(["chain", "--config", str(cfg)]) == 2
+
+    def test_kind_mismatch_is_one_error_line(self, capsys):
+        assert cli_main(["norm", "--config", str(SCENARIOS / "chain.cfg")]) == 2
+        assert capsys.readouterr().err == "error: config is a 'chain' scenario, verb was 'norm'\n"
 
     def test_martingale_verb_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -89,6 +89,13 @@ class TestEnsemble:
         with pytest.raises(SizeError, match=r"^horizon 21 > 20: enumeration too large$"):
             build_walk_ensemble(21)
 
+    def test_path_cap_stops_three_values_at_horizon_12(self):
+        # 3^20 paths would be asked of numpy; the cap is the +-1 walk's 2^20 paths
+        with pytest.raises(SizeError, match=r"^horizon 20 > 12: enumeration too large$"):
+            build_walk_ensemble(20, increments=[-1.0, 0.0, 1.0])
+        ens = build_walk_ensemble(12, increments=[-1.0, 0.0, 1.0])
+        assert ens.s_values.shape == (3 ** 12, 12)
+
     @pytest.mark.parametrize("method", ["s_at", "running_abs_max", "level"])
     @pytest.mark.parametrize("n", [0, 5, -1])
     def test_n_outside_horizon_rejected(self, method, n):
