@@ -45,7 +45,7 @@ def main():
     print(header)
     for p, row in rep.rho:
         print(f"{p:6.2f} | " + " ".join(f"{r:8.5f}" for _, r in row))
-    print(f"\nsaturation check: {'PASS' if rep.saturation_ok else 'FAIL'}; "
+    print(f"\nsaturation check: {'PASS' if rep.passed else 'FAIL'}; "
           f"norm ratio ||s*||/(weighted ||f||) = {rep.norm_ratio:.4f}")
 
 

@@ -17,7 +17,6 @@ from .measure import (
     SimpleFunction,
     indicator,
     load_family,
-    pointwise_max,
     save_family,
 )
 from .psi import (
@@ -65,7 +64,6 @@ from .chaining import (
     exp_orlicz_bound,
     generalized_pisier_bound,
     mri_chaining_bound,
-    optimize_theta,
     pisier_bound,
     polynomial_entropy_check,
     series_S_beta,
@@ -83,7 +81,6 @@ from .martingale import (
 from .fourier import (
     FourierSample,
     fourier_coefficients,
-    maximal_partial_sum,
     maximal_ratio_check,
     partial_sum,
     sample_function,

@@ -49,7 +49,6 @@ __all__ = [
     "entropy_sum_bound",
     "chained_product_bound",
     "chained_product_bounds",
-    "optimize_theta",
     "PolyEntropyReport",
     "polynomial_entropy_check",
     "SeriesBoundCase",
@@ -205,16 +204,10 @@ def _chaining_report(metric: SemiMetric, theta: float, k_max: int, factor,
 
 
 def entropy_sum_bound(family: FunctionFamily, p: float, theta: float,
-                      k_max: int = 32, metric: SemiMetric | None = None) -> ChainingReport:
-    """Anchor + sum_k theta^{k-1} N^{1/p}(T, d_p, theta^k) + geometric tail.
-
-    ``metric`` may carry a precomputed d_p matrix (it depends only on the
-    family and p, so callers sweeping theta reuse it).
-    """
-    if metric is None:
-        metric = family_semimetric(family, p=p)
-    return _chaining_report(metric, theta, k_max, lambda n: n ** (1.0 / p),
-                            *_lp_norms(family, p))
+                      k_max: int = 32) -> ChainingReport:
+    """Anchor + sum_k theta^{k-1} N^{1/p}(T, d_p, theta^k) + geometric tail."""
+    return _chaining_report(family_semimetric(family, p=p), theta, k_max,
+                            lambda n: n ** (1.0 / p), *_lp_norms(family, p))
 
 
 def chained_product_bound(family: FunctionFamily, psi: PsiFunction, nu: PsiFunction,
@@ -253,22 +246,6 @@ def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunc
 
     return tuple(_chaining_report(metric, theta, k_max, factor, anchor,
                                   exact.value, exact_signed) for theta in thetas)
-
-
-def optimize_theta(family: FunctionFamily, theta_grid, p: float | None = None,
-                   psi: PsiFunction | None = None, nu: PsiFunction | None = None,
-                   grid: PGrid | None = None) -> ChainingReport:
-    """Evaluate the selected chaining bound on each theta and keep the smallest
-    (the first, on ties).  The metric is built once for all thetas."""
-    thetas = list(theta_grid)
-    if not thetas:
-        raise DomainError("theta grid is empty")
-    if p is not None:
-        metric = family_semimetric(family, p=p)
-        reports = [entropy_sum_bound(family, p, theta, metric=metric) for theta in thetas]
-    else:
-        reports = chained_product_bounds(family, psi, nu, grid, thetas)
-    return min(reports, key=lambda rep: rep.bound_value)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def _exact_cover(masks: list[int], m: int) -> tuple[int, list[int]]:
 
 def covering_with_centers(metric: SemiMetric, eps: float,
                           mode: str = "exact") -> tuple[int, list[int]]:
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
     m = metric.size
     if mode == "exact":

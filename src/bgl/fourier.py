@@ -31,7 +31,6 @@ __all__ = [
     "trig_poly_sample",
     "fourier_coefficients",
     "partial_sum",
-    "maximal_partial_sum",
     "maximal_partial_sums",
     "MaximalRatioReport",
     "maximal_ratio_check",
@@ -145,21 +144,12 @@ def maximal_partial_sums(sample: FourierSample, m_list) -> dict:
     return out
 
 
-def maximal_partial_sum(sample: FourierSample, m_max: int) -> SimpleFunction:
-    """Pointwise max over M = 1..m_max of |s_M[f]|."""
-    return maximal_partial_sums(sample, [m_max])[m_max]
-
-
 @dataclass(frozen=True)
 class MaximalRatioReport:
     rho: tuple                   # ((p, ((m, rho),...)), ...)
-    saturation_ok: bool
+    passed: bool                 # no growth trend in M at any p
     norm_ratio: float            # ||s*||_{G(psi_2)} / ||f||_{G(psi)}
     m_list: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.saturation_ok
 
 
 def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
@@ -185,5 +175,5 @@ def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
     rho_rows = [(float(p), tuple(zip(m_list, col))) for p, col in zip(pts, rho.T)]
     star = maxima[m_list[-1]]
     norm_ratio = bgl_norm(star, psi_fourier(psi), grid).value / bgl_norm(f, psi, grid).value
-    return MaximalRatioReport(rho=tuple(rho_rows), saturation_ok=ok,
+    return MaximalRatioReport(rho=tuple(rho_rows), passed=ok,
                               norm_ratio=norm_ratio, m_list=tuple(m_list))

@@ -112,8 +112,12 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None) -> Martingale
         probs = np.array([0.5, 0.5])
     else:
         increments = np.asarray(increments, dtype=float)
+        if increments.ndim != 1 or increments.size == 0 or not np.isfinite(increments).all():
+            raise DomainError("increments must be a nonempty 1-d array of finite values")
         probs = (np.full(increments.size, 1.0 / increments.size)
                  if probs is None else np.asarray(probs, dtype=float))
+        if probs.shape != increments.shape:
+            raise DomainError(f"probs has shape {probs.shape}, increments {increments.shape}")
     base = increments.size
     limit = EXHAUSTIVE_HORIZON_LIMIT
     while base ** limit > 2 ** EXHAUSTIVE_HORIZON_LIMIT:

@@ -10,7 +10,6 @@ flag; no operation depends on exact diffuseness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "SimpleFunction",
     "FunctionFamily",
     "indicator",
-    "pointwise_max",
     "save_family",
     "load_family",
 ]
@@ -102,16 +100,6 @@ def indicator(space: DiscreteMeasureSpace, atoms) -> SimpleFunction:
     v = np.zeros(space.n_atoms)
     v[np.asarray(atoms, dtype=int)] = 1.0
     return SimpleFunction(space, v)
-
-
-def pointwise_max(functions: Sequence[SimpleFunction]) -> SimpleFunction:
-    if not functions:
-        raise DomainError("pointwise_max of an empty collection")
-    space = functions[0].space
-    for f in functions[1:]:
-        if not _same_space(space, f.space):
-            raise PreconditionError("functions live on different measure spaces")
-    return SimpleFunction(space, np.max(np.stack([f.values for f in functions]), axis=0))
 
 
 @dataclass(frozen=True)

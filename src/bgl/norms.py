@@ -39,7 +39,6 @@ __all__ = [
     "fatou_check",
     "IndicatorCheck",
     "indicator_norm_check",
-    "assemble_subset",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -213,7 +212,7 @@ def fundamental_function(psi: PsiFunction, delta: float, grid: PGrid,
     Shares no code with bgl_norm, including the refinement step: the
     indicator cross-check relies on the two computations being independent.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError("delta must be positive")
     pts = psi.check_support(grid.with_extra(extra_points))
     vals = np.power(delta, 1.0 / pts) / psi.eval(pts)
@@ -337,10 +336,6 @@ class FatouReport:
     terminal_gap: float
     monotone: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.monotone and self.terminal_gap >= -1e-12
-
 
 def fatou_check(chain, limit: SimpleFunction, psi: PsiFunction, grid: PGrid) -> FatouReport:
     """Monotone norm convergence along an increasing chain 0 <= f_n <= f_{n+1} <= limit."""
@@ -363,7 +358,7 @@ def fatou_check(chain, limit: SimpleFunction, psi: PsiFunction, grid: PGrid) -> 
                        terminal_gap=limit_norm - norms[-1], monotone=monotone)
 
 
-def assemble_subset(space: DiscreteMeasureSpace, delta: float):
+def _assemble_subset(space: DiscreteMeasureSpace, delta: float):
     """Greedy subset of atoms with total weight delta (within 1e-9)."""
     idx = []
     acc = 0.0
@@ -398,7 +393,7 @@ def indicator_norm_check(space: DiscreteMeasureSpace, delta: float,
     side through the closed fundamental-function formula; they share nothing
     beyond lp_norm, so agreement certifies both (to 1e-9 relative).
     """
-    atoms, achieved = assemble_subset(space, delta)
+    atoms, achieved = _assemble_subset(space, delta)
     direct = bgl_norm(indicator(space, atoms), psi, grid).value
     formula = fundamental_function(psi, achieved, grid)
     rel = abs(direct - formula) / max(abs(formula), 1e-300)

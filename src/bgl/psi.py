@@ -125,14 +125,16 @@ class PGrid:
 
 
 def constant(value: float = 1.0, a: float = 1.0, b: float = math.inf) -> PsiFunction:
-    if value < 1.0:
-        raise DomainError("generating functions satisfy psi >= 1")
+    if not 1.0 <= value < math.inf:
+        raise DomainError(f"constant value {value} must be finite and >= 1")
     return PsiFunction(a, b, lambda p: np.full_like(np.asarray(p, float), value),
                        label=f"const[{value:g}]")
 
 
 def power(beta: float, a: float = 1.0, b: float = math.inf) -> PsiFunction:
     """psi(p) = p^beta.  With a >= 1 and beta >= 0 this stays >= 1."""
+    if not math.isfinite(beta):
+        raise DomainError(f"power exponent beta={beta} must be finite")
     return PsiFunction(a, b, lambda p: np.asarray(p, float) ** beta,
                        label=f"power[{beta:g}]")
 

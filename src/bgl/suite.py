@@ -358,7 +358,7 @@ def criterion_fourier(seed: int, p_max: float = 200.0, *, m_list=(16, 32, 64, 12
     worst_ratio = 0.0
     for s in cases:
         rep = maximal_ratio_check(s, constant(), grid, list(m_list))
-        ok = ok and rep.saturation_ok
+        ok = ok and rep.passed
         worst_ratio = max(worst_ratio, rep.norm_ratio)
     return Record("fourier_maximal_saturation", ok,
                   fields=dict(seed=seed, samples=len(cases),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -17,7 +16,6 @@ from bgl.chaining import (
     exp_orlicz_bound,
     generalized_pisier_bound,
     mri_chaining_bound,
-    optimize_theta,
     pisier_bound,
     polynomial_entropy_check,
     series_S_beta,
@@ -209,28 +207,6 @@ class TestEntropySumBound:
         assert rep.tail_estimate == pytest.approx(0.5 / 0.5 * 16.0 ** 0.5, rel=1e-12)
 
 
-class TestOptimizeTheta:
-    def test_singleton_prefers_smallest_theta(self):
-        fam = disjoint_indicator_family(1)
-        thetas = [0.2, 0.4, 0.6, 0.8]
-        rep = optimize_theta(fam, thetas, p=2.0)
-        assert rep.theta_star == 0.2
-
-    def test_matches_dense_scan(self):
-        rng = make_rng(26)
-        fam = random_nonneg_family(rng, 12, 32)
-        thetas = np.linspace(0.1, 0.9, 33)
-        rep = optimize_theta(fam, thetas, p=2.0)
-        scan = min((entropy_sum_bound(fam, 2.0, float(t)).bound_value for t in thetas))
-        assert rep.bound_value == pytest.approx(scan, rel=1e-12)
-
-    def test_never_worse_than_half(self):
-        rng = make_rng(27)
-        fam = random_nonneg_family(rng, 8, 32)
-        rep = optimize_theta(fam, [0.3, 0.5, 0.7], p=4.0)
-        assert rep.bound_value <= entropy_sum_bound(fam, 4.0, 0.5).bound_value + 1e-12
-
-
 class TestThetaSweeps:
     """The theta sweeps share their theta-invariant work and must give the
     reports the per-theta calls give."""
@@ -249,56 +225,19 @@ class TestThetaSweeps:
                                for theta in self.THETAS)
                 assert swept == single
 
-    @staticmethod
-    def count_semimetrics(monkeypatch):
-        import bgl.chaining
-
+    def test_chained_product_bounds_builds_one_metric(self, monkeypatch):
+        fam = random_nonneg_family(make_rng(31), 10, 32)
+        psi0 = natural_psi(fam, GRID)
         calls = []
-        real = bgl.chaining.family_semimetric
+        real = chaining.family_semimetric
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bgl.chaining, "family_semimetric", counted)
-        return calls
-
-    @staticmethod
-    def first_min(reports):
-        best = None
-        for rep in reports:
-            if best is None or rep.bound_value < best.bound_value:
-                best = rep
-        return best
-
-    def test_optimize_theta_p_builds_one_metric(self, monkeypatch):
-        fam = random_nonneg_family(make_rng(26), 12, 32)
-        thetas = np.linspace(0.1, 0.9, 33)
-        expected = self.first_min(entropy_sum_bound(fam, 2.0, float(t)) for t in thetas)
-        calls = self.count_semimetrics(monkeypatch)
-        rep = optimize_theta(fam, thetas, p=2.0)
-        assert len(calls) == 1
-        assert rep == expected
-
-    def test_optimize_theta_psi_builds_one_metric(self, monkeypatch):
-        fam = random_nonneg_family(make_rng(31), 10, 32)
-        psi0 = natural_psi(fam, GRID)
-        expected = self.first_min(chained_product_bound(fam, psi0, power(1.0), GRID, t)
-                                  for t in self.THETAS)
-        calls = self.count_semimetrics(monkeypatch)
-        rep = optimize_theta(fam, self.THETAS, psi=psi0, nu=power(1.0), grid=GRID)
-        assert len(calls) == 1
-        assert rep == expected
-
-    def test_optimize_theta_keeps_the_first_minimum(self, monkeypatch):
-        import bgl.chaining
-
-        real = bgl.chaining.chained_product_bounds
-        monkeypatch.setattr(bgl.chaining, "chained_product_bounds", lambda *a, **k: tuple(
-            dataclasses.replace(rep, bound_value=1.0) for rep in real(*a, **k)))
-        rep = optimize_theta(disjoint_indicator_family(2), [0.7, 0.3, 0.5], psi=constant(),
-                             nu=constant(), grid=GRID)
-        assert rep.theta_star == 0.7
+        monkeypatch.setattr(chaining, "family_semimetric", counted)
+        reps = chained_product_bounds(fam, psi0, power(1.0), GRID, self.THETAS)
+        assert len(calls) == 1 and len(reps) == len(self.THETAS)
 
 
 class TestChainedProductBound:

@@ -345,8 +345,9 @@ def test_pruning_is_exact_on_adversarial_families(fam, psi_name):
     try:
         got = family_semimetric(fam, psi=psi, grid=grid).d
     except DomainError:
-        # at 1e300 a tight triangle can round past the check's absolute
-        # 1e-9; the full-column matrix must be rejected the same way
+        # at 1e300 a tight triangle can round past the check's relative
+        # slack, 1e-9 max(1, diameter); the full-column matrix must be
+        # rejected the same way
         with pytest.raises(DomainError, match="triangle"):
             SemiMetric(want)
     else:

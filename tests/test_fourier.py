@@ -11,7 +11,6 @@ from bgl.fixtures import make_rng, random_trig_coeffs
 from bgl.fourier import (
     FourierSample,
     fourier_coefficients,
-    maximal_partial_sum,
     maximal_partial_sums,
     maximal_ratio_check,
     partial_sum,
@@ -210,18 +209,18 @@ class TestSampleBoundary:
 class TestMaximalPartialSum:
     def test_constant_function(self):
         s = sample_function(lambda x: np.ones_like(x), 256)
-        star = maximal_partial_sum(s, 8)
+        star = maximal_partial_sums(s, [8])[8]
         assert np.allclose(star.values, 1.0, atol=1e-12)
 
     def test_cosine_gives_abs(self):
         s = sample_function(np.cos, 256)
-        star = maximal_partial_sum(s, 5)
+        star = maximal_partial_sums(s, [5])[5]
         assert np.allclose(star.values, np.abs(np.cos(s.x)), atol=1e-10)
 
     def test_gibbs_overshoot_near_jump(self):
         k = 4096
         s = square_wave_sample(k)
-        star = maximal_partial_sum(s, 64)
+        star = maximal_partial_sums(s, [64])[64]
         window = (s.x > 0) & (s.x <= 4.0 * math.pi / 64.0)
         near_jump = float(np.max(star.values[window]))
         assert near_jump == pytest.approx(GIBBS, abs=5e-3)
@@ -238,7 +237,7 @@ class TestMaximalPartialSum:
         s = square_wave_sample(1024)
         multi = maximal_partial_sums(s, [8, 16, 32])
         for m in [8, 16, 32]:
-            single = maximal_partial_sum(s, m)
+            single = maximal_partial_sums(s, [m])[m]
             assert np.array_equal(multi[m].values, single.values)
 
     def test_running_max_monotone_in_m(self):
@@ -324,8 +323,6 @@ class TestMaximalRatio:
         for m_list in ([0], [], [-1, 4]):
             with pytest.raises(DomainError):
                 maximal_partial_sums(s, m_list)
-        with pytest.raises(DomainError):
-            maximal_partial_sum(s, 0)
 
     def test_random_trig_polys_saturate(self):
         rng = make_rng(42)

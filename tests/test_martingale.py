@@ -81,6 +81,17 @@ class TestEnsemble:
         with pytest.raises(PreconditionError):
             build_walk_ensemble(5, increments=[-1.0, 1.0], probs=[0.3, 0.7])
 
+    @pytest.mark.parametrize("law", [
+        dict(increments=[]),
+        dict(increments=[-1.0, 1.0], probs=[1.0]),
+        dict(increments=[-1.0, 1.0], probs=[0.5, 0.25, 0.25]),
+        dict(increments=[[-1.0, 1.0], [1.0, -1.0]]),
+        dict(increments=[np.nan, 1.0]),
+    ], ids=["empty", "short_probs", "long_probs", "2-d", "nan"])
+    def test_malformed_law_is_one_line_domain_error(self, law):
+        with pytest.raises(DomainError, match=r"^[^\n]+$"):
+            build_walk_ensemble(3, **law)
+
     def test_horizon_cap(self):
         with pytest.raises(SizeError):
             build_walk_ensemble(21)

@@ -11,11 +11,11 @@ from scipy.integrate import quad
 from bgl.errors import ConstructionError, DomainError, PreconditionError
 from bgl import norms
 from bgl.chaining import abs_sup
+from bgl.entropy import SemiMetric, covering_number
 from bgl.fixtures import make_rng, random_nonneg_family, sqrt_singularity_function
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction, indicator
 from bgl.norms import (
     MriNormSpec,
-    assemble_subset,
     bgl_norm,
     fatou_check,
     fundamental_function,
@@ -300,6 +300,23 @@ class TestBglNorm:
         assert res.p_star >= grid.points[-2]  # |f|_p grows toward p = 2
 
 
+# a non-finite argument must fail at its check, not turn into a NaN or zero
+# norm, or an unrelated error, further down
+@pytest.mark.parametrize("call", [
+    lambda f, grid: bgl_norm(f, constant(math.nan), grid),
+    lambda f, grid: bgl_norm(f, constant(math.inf), grid),
+    lambda f, grid: bgl_norm(f, power(math.nan), grid),
+    lambda f, grid: bgl_norm(f, power(math.inf), grid),
+    lambda f, grid: fundamental_function(constant(), math.nan, grid),
+    lambda f, grid: covering_number(SemiMetric(np.zeros((2, 2))), math.nan),
+], ids=["constant_nan", "constant_inf", "power_nan", "power_inf",
+        "fundamental_delta_nan", "covering_eps_nan"])
+def test_non_finite_arguments_rejected(call):
+    f = SimpleFunction(unit_space(4), np.arange(4.0))
+    with pytest.raises(DomainError, match="must be"):
+        call(f, PGrid.log_spaced(1.05, 60, 16))
+
+
 class TestRefinement:
     @staticmethod
     def dense_bracket_max(f, psi, grid, p_star):
@@ -401,7 +418,7 @@ class TestIndicatorCheck:
     def test_unrealizable_mass(self):
         space = DiscreteMeasureSpace(np.full(4, 1.0))
         with pytest.raises(ConstructionError):
-            assemble_subset(space, 2.5)
+            indicator_norm_check(space, 2.5, constant(), PGrid.log_spaced(1.05, 60, 64))
 
 
 class TestNaturalPsi:
@@ -545,7 +562,7 @@ class TestFatou:
     def test_constant_chain(self):
         f = SimpleFunction(unit_space(10), np.linspace(0.1, 1.0, 10))
         rep = fatou_check([f, f, f], f, constant(), self.grid())
-        assert rep.passed and rep.terminal_gap == 0.0
+        assert rep.monotone and rep.terminal_gap == 0.0
 
     def test_scaled_chain_gap_bounded_by_homogeneity(self):
         f = SimpleFunction(unit_space(10), np.linspace(0.1, 1.0, 10))
