@@ -82,7 +82,6 @@ from .fourier import (
     FourierSample,
     fourier_coefficients,
     maximal_ratio_check,
-    partial_sum,
     sample_function,
     square_wave_sample,
     trig_poly_sample,

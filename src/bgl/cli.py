@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import DomainError
 from .report import to_table, to_text
-from .scenario import KINDS, default_scenario, load_scenario, run_scenario
+from .scenario import Scenario, load_scenario
+from .suite import VERBS, run_criteria
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "against brute-force oracles",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind in VERBS:
         p = sub.add_parser(kind, help=f"run the {kind} criteria")
         p.add_argument("--config", default=None, help="scenario config file")
         p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "table"), default="text",
                        help="structured text (diffable) or a human table")
         p.add_argument("--p-max", type=float, default=None, dest="p_max",
-                       help="cap for p-grids on unbounded supports")
+                       help="cap for p-grids on unbounded supports; overrides [grid] p_max")
         p.add_argument("--tol", type=float, default=None,
                        help="override domination tolerance where applicable")
     return parser
@@ -40,15 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            scn = load_scenario(args.config)
-            if scn.kind != args.kind:
-                raise DomainError(f"config is a {scn.kind!r} scenario, verb was {args.kind!r}")
-        else:
-            scn = default_scenario(args.kind)
-        if args.seed is not None:
-            scn = replace(scn, seed=args.seed)
-        report = run_scenario(scn, p_max=args.p_max, tol=args.tol)
+        scn = load_scenario(args.config) if args.config else Scenario(args.kind, 1)
+        if scn.kind != args.kind:
+            raise DomainError(f"config is a {scn.kind!r} scenario, verb was {args.kind!r}")
+        report = run_criteria(scn.kind, scn.seed if args.seed is None else args.seed,
+                              scn.params, p_max=scn.p_max if args.p_max is None else args.p_max,
+                              tol=args.tol)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,10 +90,6 @@ class SemiMetric:
     def diameter(self) -> float:
         return float(self.d.max())
 
-    def min_positive(self) -> float | None:
-        pos = self.d[self.d > 0]
-        return float(pos.min()) if pos.size else None
-
     def n_distinct(self) -> int:
         """Number of zero-distance equivalence classes."""
         m = self.size

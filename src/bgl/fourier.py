@@ -14,7 +14,6 @@ partial sums read one K-entry table of roots, so no array exceeds O(K).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "square_wave_sample",
     "trig_poly_sample",
     "fourier_coefficients",
-    "partial_sum",
     "maximal_partial_sums",
     "MaximalRatioReport",
     "maximal_ratio_check",
@@ -122,11 +120,6 @@ def _partial_sums(sample: FourierSample, m_top: int):
     for n in range(1, m_top + 1):
         s = s + (roots[step * n % k] * np.conj(c[n])).real / math.pi
         yield s
-
-
-def partial_sum(sample: FourierSample, m: int) -> SimpleFunction:
-    """s_m[f](x) = (1/2pi) sum_{|n|<=m} c(n) exp(-inx), evaluated on the grid."""
-    return SimpleFunction(sample.space, deque(_partial_sums(sample, m), maxlen=1)[0])
 
 
 def maximal_partial_sums(sample: FourierSample, m_list) -> dict:

@@ -13,6 +13,7 @@ taken on those blocks as atoms, each weighing the total of its paths
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -177,8 +178,8 @@ def norming_log_loglog(delta: float) -> NormingFunction:
     The clamp keeps v positive and nondecreasing on small n where the double
     logarithm would misbehave.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise DomainError(f"delta must be finite and positive, got {delta}")
 
     def fn(n):
         n = np.maximum(np.asarray(n, dtype=float), 16.0)

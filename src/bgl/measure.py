@@ -151,9 +151,6 @@ class FunctionFamily:
     def m(self) -> int:
         return int(self.values.shape[0])
 
-    def scale(self, c: float) -> "FunctionFamily":
-        return FunctionFamily(self.labels, self.space, self.values * float(c))
-
 
 # ---------------------------------------------------------------------------
 # columnar text format: `atom_id weight value1 ... valueK`, one line per atom;

@@ -303,18 +303,21 @@ class MriNormSpec:
             if self.psi is None or self.grid is None:
                 raise DomainError("sup kind needs psi and grid")
         elif self.kind == "quadrature":
-            if self.q < 1.0:
-                raise DomainError("quadrature exponent q must be >= 1")
+            # each check is written so that a NaN fails it
+            if not (math.isfinite(self.q) and self.q >= 1.0):
+                raise DomainError(f"quadrature exponent q must be finite and >= 1, got {self.q}")
+            if not math.isfinite(self.alpha):
+                raise DomainError(f"quadrature exponent alpha must be finite, got {self.alpha}")
             nodes = np.asarray(self.nodes, dtype=float)
             weights = np.asarray(self.weights, dtype=float)
             object.__setattr__(self, "nodes", nodes)
             object.__setattr__(self, "weights", weights)
             if nodes.ndim != 1 or nodes.size == 0 or nodes.shape != weights.shape:
                 raise DomainError("nodes and weights must be matching 1-d arrays")
-            if np.any(weights < 0):
+            if not np.all(weights >= 0):
                 raise DomainError("quadrature weights must be nonnegative")
-            if np.any(nodes < 1.0):
-                raise DomainError("quadrature nodes must satisfy x >= 1")
+            if not np.all(nodes >= 1.0):
+                raise DomainError("quadrature nodes must be >= 1")
         else:
             raise DomainError(f"unknown m.r.i. norm kind {self.kind!r}")
 

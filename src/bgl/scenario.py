@@ -13,9 +13,10 @@ through its verb:
 
 A config only overrides parameters; an absent key keeps the suite's value,
 and a section set for a kind that runs none of the criteria it goes to is
-rejected.  `--p-max` and `--tol` replace the value, the config's included,
-of every criterion of the verb that declares `p_max` or `tol`; a verb none
-of whose criteria declares it rejects the flag.
+rejected.  `[grid] p_max` is the file form of `--p-max` and keeps the
+flag's rule: the flag overrides it, and `bgl.suite.run_criteria` sends
+either, like `--tol`, to every criterion of the verb that declares the
+parameter; a verb none of whose criteria declares it rejects it.
 Grammar (INI-style, parsed by configparser), with the criteria each key
 goes to:
 
@@ -23,8 +24,8 @@ goes to:
     kind = chain            ; norm | entropy | chain | martingale | fourier | suite
     seed = 7
 
-    [grid]                  ; generalized_pisier, chained_bound, indicator
-    lo = 1.05
+    [grid]                  ; lo, n: generalized_pisier, chained_bound, indicator
+    lo = 1.05               ; p_max: every criterion that declares it, as --p-max
     p_max = 200
     n = 64
 
@@ -76,19 +77,16 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DomainError
 from .fixtures import disjoint_indicator_family
 from .measure import load_family
 from .psi import constant, doob_factor, from_table, power, ratio
-from .report import Report
-from .suite import NATURAL, VERBS, run_criteria, takes
+from .suite import NATURAL, VERBS, check_tol
 
-__all__ = ["Scenario", "load_scenario", "run_scenario", "default_scenario"]
-
-KINDS = tuple(VERBS)
+__all__ = ["Scenario", "load_scenario"]
 
 _SECTIONS = ("scenario", "grid", "psi", "nu", "family", "chain", "norm", "martingale", "fourier")
 
@@ -101,12 +99,7 @@ class Scenario:
     kind: str
     seed: int
     params: dict = field(default_factory=dict)  # criterion name -> overrides
-
-
-def default_scenario(kind: str, seed: int = 1) -> Scenario:
-    if kind not in KINDS:
-        raise DomainError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    return Scenario(kind=kind, seed=seed)
+    p_max: float | None = None  # [grid] p_max, routed as --p-max
 
 
 def load_scenario(path) -> Scenario:
@@ -125,9 +118,12 @@ def load_scenario(path) -> Scenario:
         if section not in _SECTIONS:
             raise DomainError(f"unknown section [{section}]")
         sections[section] = dict(parser[section])
-    scn = default_scenario(_take(sections, "scenario", "kind"),
-                           _value(sections, "scenario", "seed", int, 1))
-    scn = replace(scn, params=_params(sections, scn.kind, Path(path).parent))
+    kind = _take(sections, "scenario", "kind")
+    if kind not in VERBS:
+        raise DomainError(f"unknown scenario kind {kind!r}; expected one of {tuple(VERBS)}")
+    scn = Scenario(kind, _value(sections, "scenario", "seed", int, 1),
+                   _params(sections, kind, Path(path).parent),
+                   _value(sections, "grid", "p_max", float))
     # every read takes its key out, so a key left over is one this config never reads
     for section, body in sections.items():
         if body:
@@ -165,11 +161,6 @@ def _values(sections: dict, section: str, key: str, kind):
     if not raw.split():
         raise DomainError(f"[{section}] {key} needs at least one value")
     return tuple(_parse(section, key, tok, kind) for tok in raw.split())
-
-
-def _check_tol(tol) -> None:
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
 def _psi(sections: dict, section: str):
@@ -242,12 +233,11 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
 
     put("grid", _GRID, "grid_lo", _value(sections, "grid", "lo", float))
     put("grid", _GRID, "grid_n", _value(sections, "grid", "n", int, least=2))
-    put("grid", _GRID, "p_max", _value(sections, "grid", "p_max", float))
 
     put("chain", ("chained_bound",), "thetas", _values(sections, "chain", "theta", float))
     put("chain", ("chained_bound",), "k_max", _value(sections, "chain", "k_max", int))
     tol = _value(sections, "chain", "tol", float)
-    _check_tol(tol)
+    check_tol(tol)
     put("chain", _CHAIN, "tol", tol)
 
     put("norm", ("indicator",), "deltas", _values(sections, "norm", "deltas", float))
@@ -269,24 +259,3 @@ def _params(sections: dict, kind: str, base: Path) -> dict:
     if given - reached:
         raise DomainError(f"[{min(given - reached)}] reaches no {kind} criterion")
     return params
-
-
-def run_scenario(scn: Scenario, p_max: float | None = None,
-                 tol: float | None = None) -> Report:
-    """Run the scenario's criteria.  ``p_max`` and ``tol`` each replace the
-    value, the config's included, of every criterion that declares them;
-    DomainError if none of the verb's criteria does."""
-    if p_max is not None and not math.isfinite(p_max):
-        raise DomainError(f"p_max must be finite, got {p_max}")
-    _check_tol(tol)
-    names = VERBS[scn.kind]
-    params = {name: dict(scn.params.get(name, {})) for name in names}
-    for key, value in (("p_max", p_max), ("tol", tol)):
-        if value is None:
-            continue
-        takers = [name for name in names if takes(name, key)]
-        if not takers:
-            raise DomainError(f"no {scn.kind} criterion takes {key}")
-        for name in takers:
-            params[name][key] = value
-    return run_criteria(scn.kind, scn.seed, 200.0 if p_max is None else p_max, params)

@@ -27,6 +27,7 @@ from .chaining import (
     series_S_beta,
 )
 from .entropy import SemiMetric, covering_number, covering_profile, entropy_dimension, family_semimetric
+from .errors import DomainError
 from .fixtures import (
     circle_lattice_metric,
     disjoint_indicator_family,
@@ -397,22 +398,42 @@ def takes(name: str, param: str) -> bool:
     return param in inspect.signature(CRITERIA[NAMES.index(name)]).parameters
 
 
-def run_criteria(kind: str, seed: int, p_max: float = 200.0, params=None) -> Report:
+def check_tol(tol) -> None:
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def run_criteria(kind: str, seed: int, params=None, p_max: float | None = None,
+                 tol: float | None = None) -> Report:
     """Run the criteria of one verb at the suite's sub-seeds seed*1000 + index.
 
-    ``p_max`` goes to the criteria that declare it.  ``params`` maps a
-    criterion name to keyword overrides.  A ValueError (the base of bgl's
-    domain errors) raised inside a check becomes a failed record carrying
-    its sub-seed, so the rest of the run still reports.
+    ``params`` maps a criterion name to keyword overrides.  ``p_max`` and
+    ``tol`` each replace the value, ``params``'s included, of every criterion
+    of the verb that declares them; DomainError if none does.  A ValueError
+    (the base of bgl's domain errors) raised inside a check becomes a failed
+    record carrying its sub-seed, so the rest of the run still reports.
     """
-    params = params or {}
-    report = Report(meta={"kind": kind, "seed": seed, "p_max": p_max})
-    for name in VERBS[kind]:
+    if p_max is not None and not math.isfinite(p_max):
+        raise DomainError(f"p_max must be finite, got {p_max}")
+    check_tol(tol)
+    names = VERBS[kind]
+    params = {name: dict((params or {}).get(name, {})) for name in names}
+    for key, value in (("p_max", p_max), ("tol", tol)):
+        if value is None:
+            continue
+        takers = [name for name in names if takes(name, key)]
+        if not takers:
+            raise DomainError(f"no {kind} criterion takes {key}")
+        for name in takers:
+            params[name][key] = value
+    # every criterion that takes p_max defaults it to 200
+    report = Report(meta={"kind": kind, "seed": seed,
+                          "p_max": 200.0 if p_max is None else p_max})
+    for name in names:
         i = NAMES.index(name)
         sub_seed = seed * 1000 + i
-        kw = {"p_max": p_max} if takes(name, "p_max") else {}
         try:
-            rec = CRITERIA[i](sub_seed, **{**kw, **params.get(name, {})})
+            rec = CRITERIA[i](sub_seed, **params[name])
         except ValueError as exc:
             rec = Record(name, False, fields=dict(seed=sub_seed, error=str(exc)))
         report.records.append(rec)

@@ -11,8 +11,7 @@ import pytest
 
 from bgl.cli import main as cli_main
 from bgl.report import Report, to_text
-from bgl.scenario import default_scenario, run_scenario
-from bgl.suite import CRITERIA, NAMES, VERBS, run_suite
+from bgl.suite import CRITERIA, NAMES, VERBS, run_criteria, run_suite
 
 SEED = 20240801
 
@@ -91,6 +90,6 @@ def test_criterion_12_suite_determinism(suite_report, tmp_path):
 
 @pytest.mark.parametrize("verb", ["norm", "entropy", "martingale", "fourier"])
 def test_verb_records_equal_suite_records(suite_report, verb):
-    records = run_scenario(default_scenario(verb, SEED)).records
+    records = run_criteria(verb, SEED).records
     expected = [suite_report.records[NAMES.index(name)] for name in VERBS[verb]]
     assert to_text(Report({}, records)) == to_text(Report({}, expected))

@@ -407,7 +407,8 @@ class TestExpOrlicz:
         rng = make_rng(30)
         fam = random_nonneg_family(rng, 16, 32)
         rep1 = exp_orlicz_bound(fam, 1.0, 0.5, 1.5, 0.5)
-        rep10 = exp_orlicz_bound(fam.scale(10.0), 1.0, 0.5, 1.5, 0.5)
+        rep10 = exp_orlicz_bound(FunctionFamily.from_values(fam.space, fam.values * 10.0),
+                                 1.0, 0.5, 1.5, 0.5)
         assert rep10.slack_ratio == pytest.approx(rep1.slack_ratio, rel=1e-9)
 
     def test_unsaturated_tail_uses_family_size(self):
@@ -470,6 +471,6 @@ def test_pisier_slack_scale_invariant(seed, p, c):
     rng = make_rng(seed)
     fam = random_nonneg_family(rng, 6, 16)
     base = pisier_bound(fam, p)
-    scaled = pisier_bound(fam.scale(c), p)
+    scaled = pisier_bound(FunctionFamily.from_values(fam.space, fam.values * c), p)
     assert scaled.bound == pytest.approx(c * base.bound, rel=1e-9)
     assert scaled.slack_ratio == pytest.approx(base.slack_ratio, rel=1e-9)

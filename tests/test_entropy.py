@@ -468,7 +468,7 @@ class TestCoveringNumber:
         ns = [covering_number(metric, e) for e in epss]
         assert all(a >= b for a, b in zip(ns, ns[1:]))
         assert covering_number(metric, metric.diameter) == 1
-        mp = metric.min_positive()
+        mp = metric.d[metric.d > 0].min()
         assert covering_number(metric, mp * 0.999) == metric.n_distinct()
 
     def test_deterministic_greedy_ties(self):

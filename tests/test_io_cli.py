@@ -9,9 +9,14 @@ from bgl.errors import DomainError
 from bgl.fixtures import make_rng, random_nonneg_family
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, load_family, save_family
 from bgl.report import Record, Report, to_table, to_text
-from bgl.scenario import KINDS, load_scenario, run_scenario
+from bgl.scenario import load_scenario
+from bgl.suite import VERBS, run_criteria
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def run(scn):
+    return run_criteria(scn.kind, scn.seed, scn.params, p_max=scn.p_max)
 
 
 class TestColumnarFormat:
@@ -89,7 +94,7 @@ class TestScenarioConfig:
         )
         scn = load_scenario(cfg)
         assert scn.kind == "chain" and scn.seed == 11
-        rep = run_scenario(scn)
+        rep = run(scn)
         assert rep.all_passed
 
     def test_family_from_file(self, tmp_path):
@@ -103,7 +108,7 @@ class TestScenarioConfig:
             f"[family]\ngenerator = file\npath = {fam_path}\n"
             "[grid]\nn = 32\np_max = 60\n"
         )
-        rep = run_scenario(load_scenario(cfg))
+        rep = run(load_scenario(cfg))
         assert rep.all_passed
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -142,7 +147,7 @@ class TestScenarioConfig:
             "[chain]\ntheta = 0.5\n"
             "[grid]\nlo = 1.05\nn = 32\np_max = 60\n"
         )
-        report = run_scenario(load_scenario(cfg))
+        report = run(load_scenario(cfg))
         rec = next(r for r in report.records if r.name == "chained_product_bound_domination")
         grid = PGrid.log_spaced(1.05, 60.0, 32, p_max_cap=60.0)
         loaded = load_family(tmp_path / "fam.tsv")
@@ -237,6 +242,44 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_grid_p_max_is_the_cap_meta_reports(self, tmp_path):
+        # [grid] p_max is the file form of --p-max, and the flag overrides it
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("[scenario]\nkind = chain\n"
+                       "[family]\nmembers = 3\natoms = 8\ncount = 1\n"
+                       "[grid]\np_max = 50\nn = 16\n")
+        out = tmp_path / "report.txt"
+        assert cli_main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "meta.p_max = 50.0\n" in out.read_text()
+        assert cli_main(["chain", "--config", str(cfg), "--p-max", "40",
+                         "--out", str(out)]) == 0
+        assert "meta.p_max = 40.0\n" in out.read_text()
+
+    def test_grid_p_max_reaches_fatou(self, tmp_path, monkeypatch):
+        from bgl import suite
+
+        caps = []
+        real = suite.fatou_check
+
+        def spy(chain, full, psi, grid):
+            caps.append(grid.points[-1])
+            return real(chain, full, psi, grid)
+
+        monkeypatch.setattr(suite, "fatou_check", spy)
+        cfg = tmp_path / "norm.cfg"
+        cfg.write_text("[scenario]\nkind = norm\n[norm]\ndeltas = 1\n[grid]\np_max = 50\n")
+        assert cli_main(["norm", "--config", str(cfg), "--out", str(tmp_path / "r.txt")]) == 0
+        assert caps == [pytest.approx(50.0)]
+
+    def test_grid_p_max_in_entropy_config_exits_two(self, tmp_path, capsys):
+        # the flag's rule and message: no entropy criterion has a p-grid
+        cfg = tmp_path / "entropy.cfg"
+        cfg.write_text("[scenario]\nkind = entropy\n[grid]\np_max = 50\n")
+        out = tmp_path / "report.txt"
+        assert cli_main(["entropy", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: no entropy criterion takes p_max\n"
+
     @pytest.mark.parametrize("body, key", [
         ("[psi]\nbeta = 3\n", "[psi] beta"),
         ("[family]\npath = nothere.tsv\n", "[family] path"),
@@ -269,7 +312,9 @@ class TestScenarioConfig:
             "[norm]\ndeltas = 0.5\natoms = 16\natom_mass = 0.0625\n"
             "[martingale]\nhorizon = 4\np = 2\n"
             "[fourier]\nm_list = 8\ndegree_max = 4\nsamples = 1\ngrid_points = 64\n")
-        params = load_scenario(suite_cfg).params
+        scn = load_scenario(suite_cfg)
+        assert scn.p_max == 50.0
+        params = scn.params
         assert params["fourier"] == {"m_list": (8,), "samples": 1, "degree_max": 4,
                                      "grid_points": 64}
         assert params["doob"] == {"horizons": (4,), "ps": (2.0,)}
@@ -358,12 +403,12 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", [("--tol", "-1"), ("--p-max", "nan")],
                              ids=["negative_tol", "nan_p_max"])
-    @pytest.mark.parametrize("verb", KINDS)
+    @pytest.mark.parametrize("verb", VERBS)
     def test_bad_flag_rejected(self, verb, flag, capsys):
         assert cli_main([verb, *flag]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("verb", KINDS)
+    @pytest.mark.parametrize("verb", VERBS)
     def test_tol_only_where_a_criterion_takes_it(self, verb, tmp_path, capsys):
         # the capped grid fails every grid check, so an accepted run ends fast
         out = tmp_path / "report.txt"
@@ -375,7 +420,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("verb", KINDS)
+    @pytest.mark.parametrize("verb", VERBS)
     def test_p_max_only_where_a_criterion_takes_it(self, verb, tmp_path, capsys):
         # no valid p-grid lies below 1.1, so an accepted run fails its grid checks
         out = tmp_path / "report.txt"

@@ -45,14 +45,6 @@ class TestFunctionFamily:
         assert fam.values[0, 0] == 0.0
         assert matrix.flags.writeable
 
-    def test_scale_multiplies_the_matrix(self):
-        fam = FunctionFamily.from_values(self.SPACE, make_rng(62).uniform(0.0, 1.0, size=(5, 4)))
-        scaled = fam.scale(-3.0)
-        assert scaled.labels == fam.labels and scaled.space is fam.space
-        assert np.array_equal(scaled.values, fam.values * -3.0)
-        with np.errstate(over="ignore"), pytest.raises(DomainError):
-            fam.scale(1e308).scale(1e308)
-
     def test_sups_equal_the_max_over_members(self):
         rng = make_rng(63)
         for m in [1, 2, 9]:

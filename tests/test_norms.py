@@ -13,6 +13,7 @@ from bgl import norms
 from bgl.chaining import abs_sup
 from bgl.entropy import SemiMetric, covering_number
 from bgl.fixtures import make_rng, random_nonneg_family, sqrt_singularity_function
+from bgl.martingale import norming_log_loglog
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction, indicator
 from bgl.norms import (
     MriNormSpec,
@@ -300,6 +301,11 @@ class TestBglNorm:
         assert res.p_star >= grid.points[-2]  # |f|_p grows toward p = 2
 
 
+def _quadrature(q=2.0, alpha=1.0, node=4.0, weight=1.0):
+    return MriNormSpec(kind="quadrature", q=q, alpha=alpha,
+                       nodes=np.array([2.0, node]), weights=np.array([1.0, weight]))
+
+
 # a non-finite argument must fail at its check, not turn into a NaN or zero
 # norm, or an unrelated error, further down
 @pytest.mark.parametrize("call", [
@@ -309,8 +315,18 @@ class TestBglNorm:
     lambda f, grid: bgl_norm(f, power(math.inf), grid),
     lambda f, grid: fundamental_function(constant(), math.nan, grid),
     lambda f, grid: covering_number(SemiMetric(np.zeros((2, 2))), math.nan),
+    lambda f, grid: mri_norm(f, _quadrature(q=math.nan)),
+    lambda f, grid: mri_norm(f, _quadrature(q=math.inf)),
+    lambda f, grid: mri_norm(f, _quadrature(alpha=math.nan)),
+    lambda f, grid: mri_norm(f, _quadrature(alpha=math.inf)),
+    lambda f, grid: mri_norm(f, _quadrature(weight=math.nan)),
+    lambda f, grid: mri_norm(f, _quadrature(node=math.nan)),
+    lambda f, grid: norming_log_loglog(math.nan),
+    lambda f, grid: norming_log_loglog(math.inf),
 ], ids=["constant_nan", "constant_inf", "power_nan", "power_inf",
-        "fundamental_delta_nan", "covering_eps_nan"])
+        "fundamental_delta_nan", "covering_eps_nan", "mri_q_nan", "mri_q_inf", "mri_alpha_nan",
+        "mri_alpha_inf", "mri_weight_nan", "mri_node_nan", "loglog_delta_nan",
+        "loglog_delta_inf"])
 def test_non_finite_arguments_rejected(call):
     f = SimpleFunction(unit_space(4), np.arange(4.0))
     with pytest.raises(DomainError, match="must be"):
