@@ -60,7 +60,6 @@ from .chaining import (
     chained_product_bound,
     chained_product_bounds,
     entropy_sum_bound,
-    exact_sup,
     exp_orlicz_bound,
     generalized_pisier_bound,
     mri_chaining_bound,

@@ -6,17 +6,18 @@ the per-level terms so an external checker can re-sum the bound.  Two
 conventions run through the module:
 
 * Bounds are computed for the pointwise max of |Y(t)|, which dominates the
-  signed sup; reports carry the signed-sup norm as well.
+  signed sup sup_t Y(t), so no report carries the signed side.
 * Each chaining sum adds the level-0 anchor (the largest single-member norm
   in the target space) explicitly.  Without it a singleton family already
   defeats the bare sum.
 
-Every chaining bound is anchor + sum_k theta^{k-1} F(N(theta^k)) + tail for
-a level factor F.  The levels stop at the first k with singleton balls or at
-k_max, whichever comes first; the tail theta^k / (1 - theta) * F(N) adds the
-finer levels in closed form, with N the last level's count when the levels
-saturated and the family size m (valid at every finer level) when k_max was
-hit first.
+Every chaining bound is anchor + sum_k eps_{k-1} F(N(eps_k)) + tail for a
+level factor F at radii eps_k = D theta^k, D = max(1, diam(T, d)), so that
+eps_0 covers T; by homogeneity it is D times the D = 1 sum of d / D.  The
+levels stop at the first k with singleton balls or at k_max, whichever
+comes first; the tail D theta^k / (1 - theta) * F(N) adds the finer levels
+in closed form, with N the last level's count when the levels saturated and
+the family size m (valid at every finer level) when k_max was hit first.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .norms import (
 from .psi import PGrid, PsiFunction, power, product_psi, psi_kappa
 
 __all__ = [
-    "exact_sup",
     "abs_sup",
     "PisierResult",
     "pisier_bound",
@@ -60,30 +60,18 @@ __all__ = [
 ]
 
 
-def exact_sup(family: FunctionFamily) -> SimpleFunction:
-    """Pointwise supremum sup_t Y(t, x); finite families make this exact."""
-    return SimpleFunction(family.space, family.values.max(axis=0))
-
-
 def abs_sup(family: FunctionFamily) -> SimpleFunction:
     """Pointwise max of |Y(t, x)|, the quantity the bounds actually control."""
     return SimpleFunction(family.space, np.abs(family.values).max(axis=0))
 
 
-def _lp_norms(family: FunctionFamily, p: float) -> tuple[float, float, float]:
-    """max_t |Y(t)|_p, |max|Y|||_p and |sup Y|_p from one kernel call over
-    the members, the pointwise max of |Y| and the pointwise sup."""
+def _lp_norms(family: FunctionFamily, p: float) -> tuple[float, float]:
+    """max_t |Y(t)|_p and |max|Y|||_p from one kernel call over the members
+    and the pointwise max of |Y|."""
     values = family.values
-    rows = np.vstack([values, np.abs(values).max(axis=0), values.max(axis=0)])
+    rows = np.vstack([values, np.abs(values).max(axis=0)])
     norms = lp_norm_matrix(rows, family.space.weights, np.array([p], dtype=float))[:, 0]
-    return float(norms[:-2].max()), float(norms[-2]), float(norms[-1])
-
-
-def _exact_sides(family: FunctionFamily, zeta: PsiFunction, grid: PGrid):
-    """The refined ||max|Y|||_{G(zeta)} (with its argmax) and the grid-only
-    G(zeta) norm of the signed sup."""
-    return (bgl_norm(abs_sup(family), zeta, grid),
-            bgl_norm(exact_sup(family), zeta, grid, refine=False).value)
+    return float(norms[:-1].max()), float(norms[-1])
 
 
 class _SlackRatio:
@@ -103,17 +91,15 @@ class _SlackRatio:
 class PisierResult(_SlackRatio):
     bound: float
     exact: float
-    exact_signed: float
     max_member_norm: float
 
 
 def pisier_bound(family: FunctionFamily, p: float) -> PisierResult:
     """max_j |Y_j|_p * m^{1/p} against the exact norm of the pointwise max."""
-    mx, exact, exact_signed = _lp_norms(family, p)
+    mx, exact = _lp_norms(family, p)
     return PisierResult(
         bound=mx * family.m ** (1.0 / p),
         exact=exact,
-        exact_signed=exact_signed,
         max_member_norm=mx,
     )
 
@@ -132,7 +118,7 @@ def generalized_pisier_bound(family: FunctionFamily, psi: PsiFunction,
     bound-side suprema so both sides see a common point set and the pointwise
     inequality chain cannot be flipped by grid discretization.
     """
-    exact, exact_signed = _exact_sides(family, product_psi(psi, nu), grid)
+    exact = bgl_norm(abs_sup(family), product_psi(psi, nu), grid)
     # grid-plus-p_star evaluation suffices for domination; member-level
     # refinement would only enlarge the bound at m times the cost
     pts = grid.with_extra([exact.p_star])
@@ -141,7 +127,6 @@ def generalized_pisier_bound(family: FunctionFamily, psi: PsiFunction,
     return GeneralizedPisierResult(
         bound=member * phi,
         exact=exact.value,
-        exact_signed=exact_signed,
         max_member_norm=member,
         fundamental_value=phi,
         p_star=exact.p_star,
@@ -161,7 +146,6 @@ class ChainingReport:
     tail_estimate: float
     anchor: float
     exact_sup_norm: float
-    exact_signed_norm: float
     saturated: bool
 
     @property
@@ -175,20 +159,22 @@ class ChainingReport:
 
 
 def _level_sum(metric: SemiMetric, theta: float, k_max: int, factor):
-    """Per-level terms (k, theta^{k-1} F(N_k)) of ``metric`` under the level
-    factor F, the last level k, the tail (rule in the module docstring) and
-    whether the levels saturated."""
-    profile = covering_profile(metric, theta, k_max)
-    terms = tuple((lv.k, theta ** (lv.k - 1) * factor(lv.n_balls)) for lv in profile.levels)
+    """Per-level terms (k, D theta^{k-1} F(N_k)) of ``metric`` under the level
+    factor F, D = max(1, diameter), the last level k, the tail (rule in the
+    module docstring) and whether the levels saturated."""
+    diam = max(1.0, metric.diameter)
+    profile = covering_profile(metric.scaled(1.0 / diam), theta, k_max)
+    terms = tuple((lv.k, diam * theta ** (lv.k - 1) * factor(lv.n_balls))
+                  for lv in profile.levels)
     last = profile.levels[-1]
     n_tail = last.n_balls if profile.saturated else metric.size
-    tail = theta ** last.k / (1.0 - theta) * factor(n_tail)
+    tail = diam * theta ** last.k / (1.0 - theta) * factor(n_tail)
     return terms, last.k, tail, profile.saturated
 
 
 def _chaining_report(metric: SemiMetric, theta: float, k_max: int, factor,
-                     anchor: float, exact: float, exact_signed: float) -> ChainingReport:
-    """Anchor plus the level sum under ``factor``, next to the exact sides."""
+                     anchor: float, exact: float) -> ChainingReport:
+    """Anchor plus the level sum under ``factor``, next to the exact side."""
     terms, k_last, tail, saturated = _level_sum(metric, theta, k_max, factor)
     return ChainingReport(
         bound_value=anchor + sum(t for _, t in terms) + tail,
@@ -198,7 +184,6 @@ def _chaining_report(metric: SemiMetric, theta: float, k_max: int, factor,
         tail_estimate=tail,
         anchor=anchor,
         exact_sup_norm=exact,
-        exact_signed_norm=exact_signed,
         saturated=saturated,
     )
 
@@ -226,7 +211,7 @@ def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunc
                            metric: SemiMetric | None = None) -> tuple[ChainingReport, ...]:
     """`chained_product_bound` at each theta, in order.
 
-    The exact sides, the anchor, the d_psi metric and phi(G(nu), N) per
+    The exact side, the anchor, the d_psi metric and phi(G(nu), N) per
     count N do not depend on theta, so they are computed once for all
     thetas.  ``metric`` may carry a precomputed d_psi matrix (it depends
     only on the family, psi, and grid, so callers sweeping nu reuse it).
@@ -234,7 +219,7 @@ def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunc
     if metric is None:
         metric = family_semimetric(family, psi=psi, grid=grid)
     zeta = product_psi(psi, nu)
-    exact, exact_signed = _exact_sides(family, zeta, grid)
+    exact = bgl_norm(abs_sup(family), zeta, grid)
     pts = grid.with_extra([exact.p_star])
     anchor = float(grid_sups([family.values], family.space.weights, pts, zeta.eval(pts))[0].max())
     phi = {}
@@ -245,7 +230,7 @@ def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunc
         return phi[n]
 
     return tuple(_chaining_report(metric, theta, k_max, factor, anchor,
-                                  exact.value, exact_signed) for theta in thetas)
+                                  exact.value) for theta in thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +396,17 @@ def mri_chaining_bound(family: FunctionFamily, spec: MriNormSpec,
     |max|Y||_p <= g(p) pointwise and the norm is monotone, <g> dominates the
     m.r.i. norm of the pointwise max (checked to 1e-9 relative)."""
     sup_f = abs_sup(family)
-    xs = spec.nodes if spec.kind == "quadrature" else spec.grid.points
+    xs = spec.nodes if spec.kind == "quadrature" else spec.psi.check_support(spec.grid.points)
     g = np.array([entropy_sum_bound(family, float(x), theta).bound_value for x in xs])
     if spec.kind == "quadrature":
         bound = float(np.dot(spec.weights, (g / xs ** spec.alpha) ** spec.q)
                       ** (1.0 / spec.q))
         exact = mri_norm(sup_f, spec)
     else:
-        bound = float(np.max(g / spec.psi.eval(xs)))
+        scale = spec.psi.eval(xs)
+        bound = float(np.max(g / scale))
         # grid-consistent evaluation: g is only known on the grid points
-        exact = bgl_norm(sup_f, spec.psi, spec.grid, refine=False).value
+        exact = float(grid_sups([sup_f.values[None, :]], family.space.weights, xs, scale)[0][0])
     per_node = tuple(zip([float(x) for x in xs], [float(v) for v in g]))
     passed = exact <= bound + 1e-9 * max(bound, 1.0)
     return MriChainReport(bound=bound, exact=exact, per_node=per_node, passed=passed)

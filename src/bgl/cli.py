@@ -46,15 +46,18 @@ def main(argv=None) -> int:
         report = run_criteria(scn.kind, scn.seed if args.seed is None else args.seed,
                               scn.params, p_max=scn.p_max if args.p_max is None else args.p_max,
                               tol=args.tol)
+        rendered = to_text(report) if args.format == "text" else to_table(report)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(rendered)
+            except OSError as exc:
+                raise DomainError(f"cannot write {args.out}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(rendered)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = to_text(report) if args.format == "text" else to_table(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
     return 0 if report.all_passed else 1
 
 

@@ -319,7 +319,7 @@ def covering_profile(metric: SemiMetric, theta: float, k_max: int,
                      mode: str | None = None) -> CoveringProfile:
     """Covering numbers at eps = theta^k, k = 1..k_max, stopping once the
     levels saturate (singleton balls: N equals the number of distinct points).
-    Centers are recorded per level for reuse by the chaining bounds."""
+    Centers are recorded per level as the cover's evidence."""
     check_theta(theta)
     if k_max < 1:
         raise DomainError(f"k_max = {k_max} must be at least 1")

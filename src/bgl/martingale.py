@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, SizeError
 from .measure import DiscreteMeasureSpace, SimpleFunction
-from .norms import bgl_norm, lp_norm_matrix
+from .norms import grid_sups, lp_norm_matrix
 from .psi import PGrid, PsiFunction, psi_doob
 
 __all__ = [
@@ -333,9 +333,9 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
                                   moment_margin=moment_margin, factor=factor))
         k += 1
 
-    tau = SimpleFunction(ens.space, np.max(ens.s_values / (sig * vv)[None, :], axis=1))
-    psi1 = psi_doob(psi)
-    tau_norm = bgl_norm(tau, psi1, grid, refine=False).value
+    tau = np.max(ens.s_values / (sig * vv)[None, :], axis=1)
+    tau_norm = float(grid_sups([tau[None, :]], ens.space.weights, pts,
+                               psi_doob(psi).eval(pts))[0][0])
     rhs = kappa * factor_sum
     condition = summability_check(v)
     return BlockChainReport(

@@ -173,34 +173,28 @@ class NormResult:
     value: float
     p_star: float
 
-    def __float__(self):
-        return self.value
 
-
-def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid,
-             refine: bool = True) -> NormResult:
-    """Grand Lebesgue norm sup_p |f|_p / psi(p), discretized on the grid.
-
-    The refined argmax is carried in the result; callers comparing two norms
-    pass it to the other side (as `fundamental_function`'s extra point) so
-    the comparison is evaluated on a common point set.
+def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid) -> NormResult:
+    """Grand Lebesgue norm sup_p |f|_p / psi(p): the grid max, refined
+    around its argmax.  The refined argmax is carried in the result; callers
+    comparing two norms pass it to the other side (as `fundamental_function`'s
+    extra point) so the comparison is evaluated on a common point set.
     """
     pts = psi.check_support(grid.points)
     ratios = lp_norm(f, pts) / psi.eval(pts)
     j = int(np.argmax(ratios))
     best_p, best_v = float(pts[j]), float(ratios[j])
-    if refine:
-        # rescan the bracket around the argmax, 33 points per kernel call,
-        # narrowing to the neighbours of each round's argmax until 1e-6 wide
-        lo = float(pts[max(j - 1, 0)])
-        hi = float(pts[min(j + 1, pts.size - 1)])
-        while hi - lo > 1e-6:
-            xs = np.linspace(lo, hi, 33)
-            vals = lp_norm(f, xs) / psi.eval(xs)
-            k = int(np.argmax(vals))
-            if vals[k] > best_v:
-                best_p, best_v = float(xs[k]), float(vals[k])
-            lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, xs.size - 1)])
+    # rescan the bracket around the argmax, 33 points per kernel call,
+    # narrowing to the neighbours of each round's argmax until 1e-6 wide
+    lo = float(pts[max(j - 1, 0)])
+    hi = float(pts[min(j + 1, pts.size - 1)])
+    while hi - lo > 1e-6:
+        xs = np.linspace(lo, hi, 33)
+        vals = lp_norm(f, xs) / psi.eval(xs)
+        k = int(np.argmax(vals))
+        if vals[k] > best_v:
+            best_p, best_v = float(xs[k]), float(vals[k])
+        lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, xs.size - 1)])
     return NormResult(best_v, best_p)
 
 

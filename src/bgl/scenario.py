@@ -105,8 +105,8 @@ class Scenario:
 def load_scenario(path) -> Scenario:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser messages carry file/line diagnostics
         raise DomainError(f"unreadable scenario config: {exc}") from exc
     if not read:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import bgl
 
-LIMIT = 52
+LIMIT = 51
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgl import chaining
@@ -12,7 +12,6 @@ from bgl.chaining import (
     chained_product_bound,
     chained_product_bounds,
     entropy_sum_bound,
-    exact_sup,
     exp_orlicz_bound,
     generalized_pisier_bound,
     mri_chaining_bound,
@@ -33,28 +32,14 @@ from bgl.norms import (
     natural_psi,
 )
 from bgl.psi import PGrid, constant, doob_factor, power, product_psi
+from test_entropy import adversarial_family
 
 
 GRID = PGrid.log_spaced(1.05, 50, 64)
 
-
-class TestExactSup:
-    def test_single_member(self):
-        fam = disjoint_indicator_family(1)
-        assert np.array_equal(exact_sup(fam).values, fam.members[0].values)
-
-    def test_f_and_minus_f(self):
-        space = DiscreteMeasureSpace(np.ones(5))
-        f = SimpleFunction(space, np.array([1.0, -2.0, 3.0, -4.0, 0.0]))
-        fam = FunctionFamily.from_values(space, np.stack([f.values, -1.0 * f.values]), ("f", "-f"))
-        assert np.array_equal(exact_sup(fam).values, np.abs(f.values))
-
-    def test_matches_per_atom_loop(self):
-        rng = make_rng(21)
-        fam = random_nonneg_family(rng, 10, 32)
-        mat = fam.values
-        oracle = np.array([max(mat[t, i] for t in range(10)) for i in range(32)])
-        assert np.array_equal(exact_sup(fam).values, oracle)
+# two members 20 apart in L_1: the first radius must be 20, not 1
+WIDE_PAIR = FunctionFamily.from_values(DiscreteMeasureSpace(np.ones(3)),
+                                       np.array([[0.0, 0.0, -10.0], [0.0, -10.0, 0.0]]))
 
 
 class TestPisier:
@@ -81,7 +66,6 @@ class TestPisier:
             for p in [1.5, 2.0, 4.0]:
                 r = pisier_bound(fam, p)
                 assert r.bound >= r.exact * (1.0 - 1e-12)
-                assert r.exact >= r.exact_signed - 1e-12
 
     def test_p_below_one(self):
         with pytest.raises(DomainError):
@@ -89,8 +73,8 @@ class TestPisier:
 
 
 class TestLpSignedSide:
-    """pisier_bound and entropy_sum_bound read the member, abs-sup and
-    signed-sup L_p norms from one kernel call, whatever the family's signs."""
+    """pisier_bound and entropy_sum_bound read the member and abs-sup L_p
+    norms from one kernel call of m + 1 rows, whatever the family's signs."""
 
     @staticmethod
     def count_kernel(monkeypatch):
@@ -110,9 +94,9 @@ class TestLpSignedSide:
     def sides(bound, fam, p):
         if bound == "pisier":
             rep = pisier_bound(fam, p)
-            return rep.exact, rep.exact_signed, rep.max_member_norm
+            return rep.exact, rep.max_member_norm
         rep = entropy_sum_bound(fam, p, 0.5)
-        return rep.exact_sup_norm, rep.exact_signed_norm, rep.anchor
+        return rep.exact_sup_norm, rep.anchor
 
     @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
     def test_nonnegative_family_one_norm(self, monkeypatch, bound):
@@ -120,9 +104,9 @@ class TestLpSignedSide:
         calls = self.count_kernel(monkeypatch)
         for p in (1.0, 2.5, 9.0):
             calls.clear()
-            exact, signed, member = self.sides(bound, fam, p)
-            assert calls == [(fam.m + 2, 40)]
-            assert exact == signed == lp_norm(exact_sup(fam), p)
+            exact, member = self.sides(bound, fam, p)
+            assert calls == [(fam.m + 1, 40)]
+            assert exact == lp_norm(SimpleFunction(fam.space, fam.values.max(axis=0)), p)
             assert member == max(lp_norm(f, p) for f in fam.members)
 
     @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
@@ -132,11 +116,10 @@ class TestLpSignedSide:
         calls = self.count_kernel(monkeypatch)
         for p in (1.0, 2.5, 9.0):
             calls.clear()
-            exact, signed, member = self.sides(bound, fam, p)
-            assert calls == [(fam.m + 2, 40)]
+            exact, member = self.sides(bound, fam, p)
+            assert calls == [(fam.m + 1, 40)]
             assert exact == lp_norm(abs_sup(fam), p)
-            assert signed == lp_norm(exact_sup(fam), p)
-            assert signed != exact
+            assert exact != lp_norm(SimpleFunction(fam.space, fam.values.max(axis=0)), p)
             assert member == max(lp_norm(f, p) for f in fam.members)
 
 
@@ -189,6 +172,15 @@ class TestEntropySumBound:
         assert rep.bound_value == pytest.approx(hand, rel=1e-12)
         assert rep.dominates
 
+    def test_diameter_above_one_hand_sum(self):
+        # eps_0 = 20 and one level holds both balls, so the bound is
+        # anchor 10 + 20 * 2 + tail 20 * 0.3 / 0.7 * 2
+        rep = entropy_sum_bound(WIDE_PAIR, 1.0, 0.3)
+        assert rep.exact_sup_norm == 20.0 and rep.anchor == 10.0
+        assert rep.per_level_terms == ((1, 40.0),)
+        assert rep.bound_value == pytest.approx(50.0 + 20.0 * 0.3 / 0.7 * 2.0, rel=1e-15)
+        assert rep.dominates
+
     def test_domination_random(self):
         rng = make_rng(25)
         for _ in range(10):
@@ -205,6 +197,64 @@ class TestEntropySumBound:
         assert not rep.saturated and rep.truncation_k == 1
         assert covering_profile(family_semimetric(fam, p=2.0), 0.5, 1).levels[-1].n_balls < 16
         assert rep.tail_estimate == pytest.approx(0.5 / 0.5 * 16.0 ** 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [100.0, 1e6])
+def test_chaining_dominates_beyond_unit_diameter(c):
+    # the radii start at eps_0 = max(1, diam), so scaling a family scales
+    # its bounds and they keep dominating
+    base = random_nonneg_family(make_rng(5), 8, 32)
+    fam = FunctionFamily.from_values(base.space, base.values * c)
+    reps = [entropy_sum_bound(fam, p, theta) for p in (1.0, 2.0, 4.0)
+            for theta in (0.3, 0.5, 0.7)]
+    for psi, nu in [(constant(), constant()), (power(1.0), doob_factor()),
+                    (natural_psi(fam, GRID), power(1.0))]:
+        reps += chained_product_bounds(fam, psi, nu, GRID, (0.3, 0.5, 0.7))
+    assert [r for r in reps if not r.dominates] == []
+
+
+def _unless_rejected(bound):
+    """bound(), or None when the semi-metric rejects the family: at 1e300 a
+    tight triangle or d <= 2 sigma can round past its relative slack (see
+    test_pruning_is_exact_on_adversarial_families)."""
+    try:
+        return bound()
+    except DomainError as exc:
+        assert "triangle" in str(exc) or "2*sigma" in str(exc), exc
+        return None
+
+
+def _adversarial_psi(fam, name, grid):
+    if name == "natural" and fam.values.any():
+        return natural_psi(fam, grid)
+    return power(1.0) if name == "power" else constant()
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_family(), st.sampled_from([1.0, 2.5, 9.0]),
+       st.sampled_from(["natural", "constant", "power"]))
+def test_finite_bounds_dominate_on_adversarial_families(fam, p, psi_name):
+    r = pisier_bound(fam, p)
+    assert r.bound >= r.exact * (1.0 - 1e-12)
+    grid = PGrid.log_spaced(1.05, 200.0, 40)
+    psi = _adversarial_psi(fam, psi_name, grid)
+    for nu in (constant(), power(1.0)):
+        r = generalized_pisier_bound(fam, psi, nu, grid)
+        assert r.bound >= r.exact * (1.0 - 1e-8), nu.label
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversarial_family(), st.sampled_from([1.0, 2.5, 9.0]),
+       st.sampled_from(["natural", "constant", "power"]))
+@example(WIDE_PAIR, 1.0, "constant")
+def test_chaining_bounds_dominate_on_adversarial_families(fam, p, psi_name):
+    thetas = (0.3, 0.5, 0.7)
+    reps = [_unless_rejected(lambda: entropy_sum_bound(fam, p, theta)) for theta in thetas]
+    grid = PGrid.log_spaced(1.05, 200.0, 40)
+    psi = _adversarial_psi(fam, psi_name, grid)
+    for nu in (constant(), power(1.0)):
+        reps += _unless_rejected(lambda: chained_product_bounds(fam, psi, nu, grid, thetas)) or ()
+    assert [r for r in reps if r is not None and not r.dominates] == []
 
 
 class TestThetaSweeps:
@@ -262,7 +312,6 @@ class TestChainedProductBound:
             for theta in [0.3, 0.5, 0.7]:
                 rep = chained_product_bound(fam, psi0, power(1.0), GRID, theta)
                 assert rep.dominates, theta
-                assert rep.bound_value >= rep.exact_signed_norm
 
     def test_report_resummable(self):
         rng = make_rng(29)

@@ -34,7 +34,7 @@ from bgl.fixtures import (
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction
 from bgl import norms
 from bgl.norms import grid_sups, lp_norm, lp_norm_matrix, natural_psi
-from bgl.psi import PGrid, constant, power
+from bgl.psi import PGrid, constant, power, psi_doob
 
 
 def brute_force_cover(metric, eps, subset=None):
@@ -307,6 +307,24 @@ class TestGridSups:
             assert len(got) == 3
             for rows, sup in zip(blocks, got):
                 assert np.array_equal(sup, self.full(rows, w, pts, scale))
+
+    def test_one_wide_row_gathers_in_chunks(self, monkeypatch):
+        # at 65,536 atoms the byte budget holds 16 gathered cells per chunk
+        n = 65536
+        row = make_rng(3).normal(size=(1, n))
+        w = np.full(n, 1.0 / n)
+        pts = PGrid.log_spaced(1.05, 200.0, 48).points
+        scale = psi_doob(power(0.5)).eval(pts)
+        gathered = []
+        real = norms.lp_norm_cells
+
+        def counted(values, weights, rows, ps):
+            gathered.append(ps.size)
+            return real(values, weights, rows, ps)
+
+        monkeypatch.setattr(norms, "lp_norm_cells", counted)
+        assert np.array_equal(grid_sups([row], w, pts, scale)[0], self.full(row, w, pts, scale))
+        assert norms._KERNEL_BYTES // (8 * n) == 16 < gathered[0]
 
 
 _MAGNITUDE = st.one_of(

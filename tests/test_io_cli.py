@@ -111,6 +111,17 @@ class TestScenarioConfig:
         rep = run(load_scenario(cfg))
         assert rep.all_passed
 
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[scenario]\nkind = norm\n# caf\xe9\n")
+        with pytest.raises(DomainError, match="^unreadable scenario config: 'utf-8' codec"):
+            load_scenario(cfg)
+        out = tmp_path / "report.txt"
+        assert cli_main(["norm", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable scenario config: ") and err.count("\n") == 1
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[scenario]\nkind = chain\n[nonsense]\nx = 1\n")
@@ -353,6 +364,15 @@ class TestCli:
         code = cli_main(["norm", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert "pass = false" in out.read_text()
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_two(self, target, tmp_path, capsys):
+        # the capped grid ends the run fast; the report is written last
+        out = tmp_path / "missing" / "x.txt" if target == "missing_dir" else tmp_path
+        assert cli_main(["fourier", "--p-max", "0.5", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
     def test_verb_config_mismatch(self, tmp_path, capsys):
         cfg = tmp_path / "norm.cfg"

@@ -16,8 +16,8 @@ from bgl.martingale import (
     summability_check,
 )
 from bgl.measure import DiscreteMeasureSpace, SimpleFunction
-from bgl.norms import lp_norm
-from bgl.psi import PGrid, constant, power
+from bgl.norms import lp_norm, lp_norm_matrix
+from bgl.psi import PGrid, constant, power, psi_doob
 
 GRID = PGrid.log_spaced(1.1, 50, 48)
 
@@ -282,6 +282,16 @@ class TestBlockChain:
         ens = build_walk_ensemble(10)
         rep = martingale_block_check(ens, power(0.5), norming_identity(), GRID)
         assert rep.all_blocks_pass and rep.ratio <= 1.0 + 1e-9
+
+    def test_tau_norm_is_the_full_table_max(self):
+        # tau's grid-only G(psi_1) norm equals the max of its full table
+        ens = build_walk_ensemble(12)
+        psi, pts = power(0.5), GRID.points
+        for v in (norming_identity(), norming_log_loglog(1.0)):
+            rep = martingale_block_check(ens, psi, v, GRID)
+            tau = np.max(ens.s_values / (ens.sigma * v(np.arange(1.0, 13.0)))[None, :], axis=1)
+            full = lp_norm_matrix(tau[None, :], ens.space.weights, pts)[0] / psi_doob(psi).eval(pts)
+            assert rep.tau_norm == full.max()
 
     def test_block_margins_reported(self):
         ens = build_walk_ensemble(8)

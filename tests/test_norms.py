@@ -335,6 +335,13 @@ def test_non_finite_arguments_rejected(call):
 
 class TestRefinement:
     @staticmethod
+    def grid_argmax(f, psi, grid):
+        """The grid-only norm and its argmax, before any refinement."""
+        ratios = lp_norm(f, grid.points) / psi.eval(grid.points)
+        j = int(np.argmax(ratios))
+        return float(ratios[j]), float(grid.points[j])
+
+    @staticmethod
     def dense_bracket_max(f, psi, grid, p_star):
         j = int(np.searchsorted(grid.points, p_star))
         if not 0 < j < grid.points.size - 1:
@@ -351,10 +358,10 @@ class TestRefinement:
             for beta in (0.05, 0.1, 0.2):
                 psi = power(beta)
                 for f in fam.members[:2]:
-                    coarse = bgl_norm(f, psi, grid, refine=False)
+                    coarse, p_grid = self.grid_argmax(f, psi, grid)
                     res = bgl_norm(f, psi, grid)
-                    assert res.value >= coarse.value
-                    dense = self.dense_bracket_max(f, psi, grid, coarse.p_star)
+                    assert res.value >= coarse
+                    dense = self.dense_bracket_max(f, psi, grid, p_grid)
                     if dense is not None:
                         interior += 1
                         assert res.value == pytest.approx(dense, rel=1e-12)
@@ -369,10 +376,10 @@ class TestRefinement:
             fam = random_nonneg_family(make_rng(40 + seed), 4, 48)
             psi0 = natural_psi(fam, grid)
             for f in fam.members:
-                coarse = bgl_norm(f, psi0, grid, refine=False)
+                coarse, p_grid = self.grid_argmax(f, psi0, grid)
                 res = bgl_norm(f, psi0, grid)
-                assert res.value >= coarse.value
-                dense = self.dense_bracket_max(f, psi0, grid, coarse.p_star)
+                assert res.value >= coarse
+                dense = self.dense_bracket_max(f, psi0, grid, p_grid)
                 if dense is not None:
                     interior += 1
                     assert res.value >= dense * (1.0 - 1e-12)
@@ -387,7 +394,7 @@ class TestRefinement:
                            - 0.2 * np.exp(-((p - 2.3) / 0.1) ** 2)
                            - 0.4 * np.exp(-((p - 2.75) / 0.1) ** 2), 1.0, 5.0)
         grid = PGrid(np.array([1.5, 2.0, 2.5, 3.0, 3.5]))
-        assert bgl_norm(f, psi, grid, refine=False).p_star == 2.5
+        assert self.grid_argmax(f, psi, grid)[1] == 2.5
         res = bgl_norm(f, psi, grid)
         xs = np.linspace(2.0, 3.0, 20001)
         k = int(np.argmax(1.0 / psi.eval(xs)))
