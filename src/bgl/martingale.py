@@ -8,13 +8,16 @@ is verified at construction by conditioning on each prefix.
 An F_n-measurable quantity (S_1..S_n, their running max) is constant on
 each of the base^n prefix blocks of the path space, so its norms are
 taken on those blocks as atoms, each weighing the total of its paths
-(`MartingaleEnsemble.level`).
+(`MartingaleEnsemble.level`).  The member norms |S_k|_p, which Doob's
+right side and the block chain's kappa both read, are taken once per walk
+and exponent set, S_k on the base^k atoms of F_k
+(`MartingaleEnsemble.member_norms`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,6 +53,10 @@ class MartingaleEnsemble:
     s_values: np.ndarray          # (n_paths, horizon)
     sigma: np.ndarray             # sigma(n) = Var(S_n)^{1/2}, n = 1..horizon
     base: int                     # number of increment values
+    # member_norms tables by exponent bytes; the arrays above are read-only,
+    # so a table cannot go stale
+    _member_norms: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     # always enumerated; read by perfbench's walk16 judge
     exhaustive = True
@@ -82,6 +89,21 @@ class MartingaleEnsemble:
             return self.space.weights, self.s_values[:, :n]
         return (self.space.weights.reshape(self.base ** n, -1).sum(axis=1),
                 self.s_values[::self.base ** (self.horizon - n), :n])
+
+    def member_norms(self, pts: np.ndarray) -> np.ndarray:
+        """(horizon, pts.size) read-only table of |S_k|_p, row k - 1 taken
+        on the atoms of F_k; computed on the first call per exponent array
+        and kept on this ensemble."""
+        pts = np.asarray(pts, dtype=float)
+        key = pts.tobytes()
+        table = self._member_norms.get(key)
+        if table is None:
+            levels = (self.level(k) for k in range(1, self.horizon + 1))
+            table = np.concatenate([lp_norm_matrix(s[:, -1][None, :], w, pts)
+                                    for w, s in levels])
+            table.flags.writeable = False
+            self._member_norms[key] = table
+        return table
 
 
 def _verify_martingale(s: np.ndarray, probs: np.ndarray, n_values: int, tol: float = 1e-12):
@@ -142,6 +164,8 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None) -> Martingale
     s = np.cumsum(steps, axis=1)
     _verify_martingale(s, probs, base)
     sigma = np.sqrt(weights @ (s ** 2) - (weights @ s) ** 2)
+    for arr in (weights, s, sigma):
+        arr.flags.writeable = False
     return MartingaleEnsemble(space=DiscreteMeasureSpace(weights), s_values=s,
                               sigma=sigma, base=base)
 
@@ -236,15 +260,16 @@ class DoobReport:
 def doob_check(ens: MartingaleEnsemble, p: float, n: int) -> DoobReport:
     """|max_{k<=n} |S_k||_p <= (p/(p-1)) max_{k<=n} |S_k|_p, exactly.
 
-    Both sides are F_n-measurable and are evaluated on F_n's atoms, in one
-    kernel call over the running max and the members S_1..S_n.
+    The running max is F_n-measurable and is evaluated on F_n's atoms in one
+    kernel call; the members are read from the walk's `member_norms` table
+    at p, each S_k on F_k's atoms.
     """
     if p <= 1:
         raise DomainError("Doob inequality needs p > 1")
     weights, s = ens.level(n)
-    rows = np.vstack([np.abs(s).max(axis=1), s.T])
-    norms = lp_norm_matrix(rows, weights, np.array([p], dtype=float))[:, 0]
-    lhs, member = float(norms[0]), float(norms[1:].max())
+    ps = np.array([p], dtype=float)
+    lhs = float(lp_norm_matrix(np.abs(s).max(axis=1)[None, :], weights, ps)[0, 0])
+    member = float(ens.member_norms(ps)[:n, 0].max())
     return DoobReport(p=p, n=n, max_norm=lhs, member_norm_max=member,
                       ratio=lhs / member, cap=p / (p - 1.0))
 
@@ -300,11 +325,9 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
     horizon = ens.horizon
     psi_vals = psi.eval(pts)
 
-    # kappa = sup_n ||S_n / sigma(n)||_{G(psi)}: one ratio matrix, reused
-    # below; row n is taken on the atoms of F_n
-    levels = [ens.level(n) for n in range(1, horizon + 1)]
-    norm_matrix = np.concatenate([lp_norm_matrix(s[:, -1][None, :], w, pts)
-                                  for w, s in levels])
+    # kappa = sup_n ||S_n / sigma(n)||_{G(psi)}, from the walk's member
+    # norm table, which the Doob step below reads too
+    norm_matrix = ens.member_norms(pts)
     kappa = float(np.max(norm_matrix / ens.sigma[:, None] / psi_vals[None, :]))
 
     sig = ens.sigma
@@ -318,7 +341,7 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
         a = 2 ** (k - 1)
         b = min(2 ** k - 1, horizon)
         # tau_k is F_b-measurable
-        w_b, s_b = levels[b - 1]
+        w_b, s_b = ens.level(b)
         tau_k = np.max(np.abs(s_b[:, a - 1:]) / (sig * vv)[None, a - 1:b], axis=1)
         lhs = lp_norm_matrix(tau_k[None, :], w_b, pts)[0]
         doob_rhs = (pts / (pts - 1.0)) * norm_matrix[b - 1] / (vv[a - 1] * sig[a - 1])

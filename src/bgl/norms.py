@@ -161,9 +161,23 @@ def _scaled(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _norms(m: np.ndarray, ratios: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """m * (sum_k w_k ratios_k^p)^(1/p), ``ratios`` (..., atoms) broadcast
     against ``ps`` (...); `np.vecdot` reduces each cell with its own dot
-    product, where a matmul would block several p columns together."""
-    sums = np.vecdot(np.power(ratios, ps[..., None]), w)
-    return m * sums ** (1.0 / ps)
+    product, where a matmul would block several p columns together.
+
+    numpy squares (and roots at 1/2) exactly only when the exponent arrives
+    as a stride-0 scalar, and otherwise takes its SIMD pow, which on AVX-512
+    differs from x*x and sqrt on about 5% of inputs.  So p = 2 cells are
+    always squared and rooted exactly, whatever the call's shape; every
+    other cell keeps its pow bits."""
+    two = ps == 2.0
+    squared = np.count_nonzero(two) > 0
+    powers = np.power(ratios, ps[..., None])
+    if squared:
+        np.multiply(ratios, ratios, out=powers, where=two[..., None])
+    sums = np.vecdot(powers, w)
+    roots = sums ** (1.0 / ps)
+    if squared:
+        np.sqrt(sums, out=roots, where=two)
+    return m * roots
 
 
 @dataclass(frozen=True)

@@ -334,13 +334,26 @@ _MAGNITUDE = st.one_of(
 )
 
 
+# an O(1) value: 0 or a signed mantissa in [1, 9]
+_UNIT = st.one_of(st.just(0.0), st.builds(lambda sign, mantissa: sign * mantissa,
+                                          st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.0)))
+
+
 @st.composite
 def adversarial_family(draw):
-    """Up to 6 members on 1-4 atoms, values from 1e-300 to 1e300 (and 0),
-    with zero rows and duplicate members."""
+    """Up to 6 members on 1-4 atoms, with zero rows and duplicate members.
+
+    The values either spread from 1e-300 to 1e300 (and 0), each with its own
+    decimal exponent, so that one member usually dwarfs the rest, or share
+    one decimal scale from 1e-300 to 1e299 times O(1) values, so that
+    several members matter at once."""
     m, atoms = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    values = np.array(draw(st.lists(st.lists(_MAGNITUDE, min_size=atoms, max_size=atoms),
+    spread = draw(st.booleans())
+    cell = _MAGNITUDE if spread else _UNIT
+    values = np.array(draw(st.lists(st.lists(cell, min_size=atoms, max_size=atoms),
                                     min_size=m, max_size=m)))
+    if not spread:
+        values *= 10.0 ** draw(st.integers(-300, 299))
     for i in range(m):
         kind = draw(st.sampled_from(["own", "zero", "copy"]))
         if kind == "zero":

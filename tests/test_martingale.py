@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bgl import martingale
 from bgl.errors import DomainError, PreconditionError, SizeError
 from bgl.martingale import (
     build_walk_ensemble,
@@ -106,6 +107,15 @@ class TestEnsemble:
             build_walk_ensemble(20, increments=[-1.0, 0.0, 1.0])
         ens = build_walk_ensemble(12, increments=[-1.0, 0.0, 1.0])
         assert ens.s_values.shape == (3 ** 12, 12)
+
+    def test_arrays_are_read_only(self):
+        # the member norm table is kept on the ensemble, so its inputs and
+        # the table itself must not change under it
+        ens = build_walk_ensemble(4)
+        for arr in (ens.s_values, ens.sigma, ens.space.weights, ens.level(2)[1],
+                    ens.member_norms(np.array([2.0]))):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     @pytest.mark.parametrize("method", ["s_at", "running_abs_max", "level"])
     @pytest.mark.parametrize("n", [0, 5, -1])
@@ -239,6 +249,39 @@ class TestLevels:
             ens.level(n)
         with pytest.raises(DomainError):
             doob_check(ens, 2.0, n)
+
+
+class TestWork:
+    """|S_k|_p is taken once per walk and exponent set, on F_k's atoms."""
+
+    @pytest.fixture
+    def cells(self, monkeypatch):
+        # one entry per kernel call of the martingale layer: its cell count
+        calls = []
+        kernel = martingale.lp_norm_matrix
+
+        def counted(values, weights, ps):
+            calls.append(values.shape[0] * weights.size * ps.size)
+            return kernel(values, weights, ps)
+
+        monkeypatch.setattr(martingale, "lp_norm_matrix", counted)
+        return calls
+
+    def test_doob_sweep_takes_each_level_twice(self, cells):
+        # the running max on level n and the member S_n on level n, once
+        # each: 2 sum_n 2^n cells, where all n members on level n took
+        # sum_n (n + 1) 2^n
+        ens = build_walk_ensemble(12)
+        for n in range(1, 13):
+            doob_check(ens, 2.0, n)
+        assert sum(cells) <= 3 * sum(2 ** n for n in range(1, 13))
+
+    def test_second_block_check_reuses_kappa_table(self, cells):
+        ens = build_walk_ensemble(12)
+        martingale_block_check(ens, constant(), norming_identity(), GRID)
+        first = len(cells)
+        martingale_block_check(ens, constant(), norming_log_loglog(1.0), GRID)
+        assert len(cells) - first == first - ens.horizon
 
 
 class TestSummability:

@@ -184,6 +184,30 @@ class TestKernelChunks:
         got = lp_norm_cells(values, w, gather_rows, ps[gather_cols])
         assert np.array_equal(got, full[gather_rows, gather_cols])
 
+    @pytest.mark.parametrize("atoms, n_rows", [
+        (1, 64), (7, 64), (64, 64), (1_000, 64), (70_000, 32),
+    ])
+    def test_every_call_shape_gives_one_bit_pattern(self, atoms, n_rows):
+        # numpy squares an exponent of 2 (and roots 0.5) exactly only when it
+        # arrives as a stride-0 scalar, and sends it through its SIMD pow
+        # otherwise; the kernel must not let that choice reach a cell
+        rng = make_rng(40 + atoms)
+        values = rng.uniform(-1.0, 1.0, (n_rows, atoms))
+        w = rng.uniform(0.5, 1.5, atoms) / atoms
+        ps = np.array([1.0, 1.25, 2.0, 4.0])
+        full = lp_norm_matrix(values, w, ps)
+        every = np.arange(n_rows)
+        for j, p in enumerate(ps):
+            one = np.array([p])
+            assert np.array_equal(lp_norm_matrix(values, w, one)[:, 0], full[:, j]), p
+            for i in every[::8]:
+                assert lp_norm_matrix(values[i:i + 1], w, one)[0, 0] == full[i, j], (p, i)
+                assert lp_norm_cells(values, w, np.array([i]), one)[0] == full[i, j], (p, i)
+            assert np.array_equal(lp_norm_cells(values, w, every, np.full(n_rows, p)),
+                                  full[:, j]), p
+        rows, cols = np.repeat(every, ps.size), np.tile(np.arange(ps.size), n_rows)
+        assert np.array_equal(lp_norm_cells(values, w, rows, ps[cols]), full[rows, cols])
+
     def test_cells_reject_what_the_matrix_rejects(self):
         values, w = np.array([[1.0, 2.0], [np.nan, 0.0]]), np.ones(2)
         with pytest.raises(DomainError):
