@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p-max", type=float, default=None, dest="p_max",
                        help="cap for p-grids on unbounded supports; overrides [grid] p_max")
         p.add_argument("--tol", type=float, default=None,
-                       help="override domination tolerance where applicable")
+                       help="domination tolerance; overrides [chain] tol")
     return parser
 
 
@@ -43,9 +43,12 @@ def main(argv=None) -> int:
         scn = load_scenario(args.config) if args.config else Scenario(args.kind, 1)
         if scn.kind != args.kind:
             raise DomainError(f"config is a {scn.kind!r} scenario, verb was {args.kind!r}")
+        # the flags come last, so each overrides its config key
+        flags = [(flag, {param: value}) for flag, param, value in
+                 (("--p-max", "p_max", args.p_max), ("--tol", "tol", args.tol))
+                 if value is not None]
         report = run_criteria(scn.kind, scn.seed if args.seed is None else args.seed,
-                              scn.params, p_max=scn.p_max if args.p_max is None else args.p_max,
-                              tol=args.tol)
+                              (*scn.overrides, *flags))
         rendered = to_text(report) if args.format == "text" else to_table(report)
         if args.out:
             try:

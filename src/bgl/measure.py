@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 __all__ = [
     "DiscreteMeasureSpace",
@@ -53,10 +53,6 @@ class DiscreteMeasureSpace:
         return float(np.sum(self.weights))
 
 
-def _same_space(a: DiscreteMeasureSpace, b: DiscreteMeasureSpace) -> bool:
-    return a is b or (a.n_atoms == b.n_atoms and np.array_equal(a.weights, b.weights))
-
-
 @dataclass(frozen=True)
 class SimpleFunction:
     """A measurable function given by one value per atom."""
@@ -73,26 +69,6 @@ class SimpleFunction:
             )
         if not np.all(np.isfinite(v)):
             raise DomainError("function values must be finite (no NaN or inf)")
-
-    def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
-        self._check(other)
-        return SimpleFunction(self.space, self.values + other.values)
-
-    def __sub__(self, other: "SimpleFunction") -> "SimpleFunction":
-        self._check(other)
-        return SimpleFunction(self.space, self.values - other.values)
-
-    def __mul__(self, c: float) -> "SimpleFunction":
-        return SimpleFunction(self.space, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __abs__(self) -> "SimpleFunction":
-        return SimpleFunction(self.space, np.abs(self.values))
-
-    def _check(self, other: "SimpleFunction"):
-        if not _same_space(self.space, other.space):
-            raise PreconditionError("operands live on different measure spaces")
 
 
 def indicator(space: DiscreteMeasureSpace, atoms) -> SimpleFunction:

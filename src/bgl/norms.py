@@ -48,6 +48,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # call, budgets of 1-16 MiB ran equally fast and 32 MiB or more slower.
 _KERNEL_BYTES = 8 << 20
 
+# atoms per dot product in `_norms`: OpenBLAS `ddot` was seen to split
+# vectors above 10,000 elements across threads, changing their last bit
+_DOT_BLOCK = 8192
+
 # `grid_sups` evaluates every _COARSE_STEP-th column of a row block first.
 # With 64 p, random families need only those columns (7.8% of the cells at
 # a step of 16, 14.1% at 8); a random trigonometric series needs 46% of the
@@ -161,7 +165,8 @@ def _scaled(av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _norms(m: np.ndarray, ratios: np.ndarray, w: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """m * (sum_k w_k ratios_k^p)^(1/p), ``ratios`` (..., atoms) broadcast
     against ``ps`` (...); `np.vecdot` reduces each cell with its own dot
-    product, where a matmul would block several p columns together.
+    product, where a matmul would block several p columns together, and
+    adds the dots of its `_DOT_BLOCK`-atom blocks in order.
 
     numpy squares (and roots at 1/2) exactly only when the exponent arrives
     as a stride-0 scalar, and otherwise takes its SIMD pow, which on AVX-512
@@ -173,7 +178,11 @@ def _norms(m: np.ndarray, ratios: np.ndarray, w: np.ndarray, ps: np.ndarray) -> 
     powers = np.power(ratios, ps[..., None])
     if squared:
         np.multiply(ratios, ratios, out=powers, where=two[..., None])
-    sums = np.vecdot(powers, w)
+    if w.size <= _DOT_BLOCK:
+        sums = np.vecdot(powers, w)
+    else:
+        sums = sum(np.vecdot(powers[..., lo:lo + _DOT_BLOCK], w[lo:lo + _DOT_BLOCK])
+                   for lo in range(0, w.size, _DOT_BLOCK))
     roots = sums ** (1.0 / ps)
     if squared:
         np.sqrt(sums, out=roots, where=two)

@@ -182,12 +182,13 @@ def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
 # --- 4. fundamental function against a measure-space indicator --------------
 
 
-def criterion_indicator(seed: int, p_max: float = 200.0, *, atoms: int = 256,
+def criterion_indicator(seed: int, p_max: float = 200.0, *, space_atoms: int = 256,
                         atom_mass: float = 1.0 / 16.0, psis=None,
                         deltas=(0.25, 0.5, 1.0, 2.0, 4.0), grid_lo: float = 1.05,
                         grid_n: int = 64) -> Record:
-    """``psis`` default to 1, p^0.5, p^2 and p/(p-1); dyadic masses are exact."""
-    space = DiscreteMeasureSpace(np.full(atoms, atom_mass))
+    """On ``space_atoms`` atoms of mass ``atom_mass``; ``psis`` default to 1,
+    p^0.5, p^2 and p/(p-1); dyadic masses are exact."""
+    space = DiscreteMeasureSpace(np.full(space_atoms, atom_mass))
     grid = _grid(p_max, grid_n, grid_lo)
     psis = psis or [constant(), power(0.5), power(2.0), doob_factor()]
     worst = 0.0
@@ -398,43 +399,46 @@ def takes(name: str, param: str) -> bool:
     return param in inspect.signature(CRITERIA[NAMES.index(name)]).parameters
 
 
-def check_tol(tol) -> None:
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol}")
+def _check_override(param: str, value) -> None:
+    if param == "p_max" and not math.isfinite(value):
+        raise DomainError(f"p_max must be finite, got {value}")
+    if param == "tol" and not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {value}")
 
 
-def run_criteria(kind: str, seed: int, params=None, p_max: float | None = None,
-                 tol: float | None = None) -> Report:
+def run_criteria(kind: str, seed: int, overrides=()) -> Report:
     """Run the criteria of one verb at the suite's sub-seeds seed*1000 + index.
 
-    ``params`` maps a criterion name to keyword overrides.  ``p_max`` and
-    ``tol`` each replace the value, ``params``'s included, of every criterion
-    of the verb that declares them; DomainError if none does.  A ValueError
-    (the base of bgl's domain errors) raised inside a check becomes a failed
-    record carrying its sub-seed, so the rest of the run still reports.
+    ``overrides`` is a sequence of ``(source, {parameter: value})`` applied in
+    order, so a later source wins.  Each parameter goes to every criterion of
+    the verb that declares it; DomainError names a source that reaches none,
+    and rejects a non-finite ``p_max`` and a negative or non-finite ``tol``.
+    A ValueError (the base of bgl's domain errors) or MemoryError raised
+    inside a check becomes a failed record carrying its sub-seed, so the
+    rest of the run still reports.
     """
-    if p_max is not None and not math.isfinite(p_max):
-        raise DomainError(f"p_max must be finite, got {p_max}")
-    check_tol(tol)
     names = VERBS[kind]
-    params = {name: dict((params or {}).get(name, {})) for name in names}
-    for key, value in (("p_max", p_max), ("tol", tol)):
-        if value is None:
-            continue
-        takers = [name for name in names if takes(name, key)]
-        if not takers:
-            raise DomainError(f"no {kind} criterion takes {key}")
-        for name in takers:
-            params[name][key] = value
+    params = {name: {} for name in names}
     # every criterion that takes p_max defaults it to 200
-    report = Report(meta={"kind": kind, "seed": seed,
-                          "p_max": 200.0 if p_max is None else p_max})
+    p_max = 200.0
+    for source, values in overrides:
+        reached = False
+        for param, value in values.items():
+            _check_override(param, value)
+            for name in names:
+                if takes(name, param):
+                    params[name][param] = value
+                    reached = True
+        if not reached:
+            raise DomainError(f"{source} reaches no {kind} criterion")
+        p_max = values.get("p_max", p_max)
+    report = Report(meta={"kind": kind, "seed": seed, "p_max": p_max})
     for name in names:
         i = NAMES.index(name)
         sub_seed = seed * 1000 + i
         try:
             rec = CRITERIA[i](sub_seed, **params[name])
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             rec = Record(name, False, fields=dict(seed=sub_seed, error=str(exc)))
         report.records.append(rec)
     return report

@@ -7,6 +7,11 @@ CLI entry point, and compares bytes.  The verbs run the suite's criteria at
 the suite's sub-seeds, so each verb's records equal the suite's.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bgl.cli import main as cli_main
@@ -14,6 +19,19 @@ from bgl.report import Report, to_text
 from bgl.suite import CRITERIA, NAMES, VERBS, run_criteria, run_suite
 
 SEED = 20240801
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# sha256 of one kernel call whose cells are dots over 10,001 and 65,536 atoms
+KERNEL_HASH = """
+import hashlib, numpy as np
+from bgl.fixtures import make_rng
+from bgl.norms import lp_norm_matrix
+rng = make_rng(3)
+for atoms in (10_001, 65_536):
+    out = lp_norm_matrix(rng.random((3, atoms)), rng.random(atoms), np.array([1.5, 2.0, 7.0]))
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +104,20 @@ def test_criterion_12_suite_determinism(suite_report, tmp_path):
           f"[bytes={len(first)}, identical={first == second}, exit={code}]")
     assert code == 0
     assert first == second
+
+
+def test_bytes_do_not_depend_on_blas_thread_count():
+    # OpenBLAS splits a long dot product across threads; the kernel's
+    # fixed-size blocks keep every cell's bits the same at any thread count
+    def run(threads, *args):
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+        done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                              timeout=300, check=True)
+        return done.stdout
+
+    for args in (("-c", KERNEL_HASH), ("-m", "bgl.cli", "martingale", "--seed", "7")):
+        assert run(1, *args) == run(2, *args)
 
 
 @pytest.mark.parametrize("verb", ["norm", "entropy", "martingale", "fourier"])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import bgl
 
-LIMIT = 51
+LIMIT = 48
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import re
 from pathlib import Path
 
@@ -10,13 +12,43 @@ from bgl.fixtures import make_rng, random_nonneg_family
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, load_family, save_family
 from bgl.report import Record, Report, to_table, to_text
 from bgl.scenario import load_scenario
-from bgl.suite import VERBS, run_criteria
+from bgl.suite import CRITERIA, NAMES, VERBS, run_criteria
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def run(scn):
-    return run_criteria(scn.kind, scn.seed, scn.params, p_max=scn.p_max)
+    return run_criteria(scn.kind, scn.seed, scn.overrides)
+
+
+def spy_criteria(monkeypatch) -> dict:
+    """Replace every criterion by a passing stub with its signature; the
+    returned dict fills with criterion name -> the parameters it was given."""
+    from bgl import suite
+
+    seen = {}
+
+    def spy(fn):
+        @functools.wraps(fn)
+        def call(seed, **params):
+            seen[fn.__name__.removeprefix("criterion_")] = params
+            return Record(fn.__name__, True)
+        return call
+
+    monkeypatch.setattr(suite, "CRITERIA", [spy(fn) for fn in suite.CRITERIA])
+    return seen
+
+
+DOCUMENTED = (
+    "[scenario]\nkind = suite\nseed = 3\n"
+    "[grid]\nlo = 1.1\np_max = 50\nn = 16\n"
+    "[psi]\nname = table\npoints = 1 2 4\nvalues = 1 2 3\n"
+    "[nu]\nname = ratio\nkappa = 2\n"
+    "[family]\ngenerator = random_nonneg\nmembers = 3\natoms = 8\ncount = 2\n"
+    "[chain]\ntheta = 0.5\nk_max = 8\ntol = 1e-9\n"
+    "[norm]\ndeltas = 0.5\natoms = 16\natom_mass = 0.0625\n"
+    "[martingale]\nhorizon = 4\np = 2\n"
+    "[fourier]\nm_list = 8\ndegree_max = 4\nsamples = 1\ngrid_points = 64\n")
 
 
 class TestColumnarFormat:
@@ -191,7 +223,7 @@ class TestScenarioConfig:
         cfg.write_text("[scenario]\nkind = chain\n"
                        "[family]\ngenerator = file\npath = fam.tsv\n")
         monkeypatch.chdir(tmp_path)
-        loaded = load_scenario(cfg).params["chained_bound"]["family"]
+        loaded = dict(load_scenario(cfg).overrides)["[family] generator"]["family"]
         assert np.array_equal(loaded.values, fam.values)
 
     @pytest.mark.parametrize("section", [
@@ -211,47 +243,132 @@ class TestScenarioConfig:
         assert cli_main(["chain", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("body, key", [
-        ("[fourier]\ndegree_max = 2\n", "[fourier] degree_max = 2"),
-        ("[fourier]\nsamples = -1\n", "[fourier] samples = -1"),
-        ("[family]\ngenerator = disjoint_indicators\nmembers = 0\n", "[family] members = 0"),
-        ("[family]\nmembers = 0\n", "[family] members = 0"),
-        ("[family]\nmembers = -3\n", "[family] members = -3"),
-        ("[family]\natoms = -1\n", "[family] atoms = -1"),
-        ("[norm]\natoms = -2\n", "[norm] atoms = -2"),
-        ("[grid]\nn = -5\n", "[grid] n = -5"),
-        ("[fourier]\ngrid_points = -8\n", "[fourier] grid_points = -8"),
+    @pytest.mark.parametrize("body, message", [
+        ("[fourier]\ndegree_max = 2\n", "[fourier] degree_max = 2 must be at least 3"),
+        ("[fourier]\nsamples = -1\n", "[fourier] samples = -1 must be at least 0"),
+        ("[family]\ngenerator = disjoint_indicators\nmembers = 0\n",
+         "[family] members = 0 must be at least 1"),
+        ("[family]\nmembers = 0\n", "[family] members = 0 must be at least 1"),
+        ("[family]\nmembers = -3\n", "[family] members = -3 must be at least 1"),
+        ("[family]\natoms = -1\n", "[family] atoms = -1 must be at least 1"),
+        ("[norm]\natoms = -2\n", "[norm] atoms = -2 must be at least 1"),
+        ("[grid]\nn = -5\n", "[grid] n = -5 must be at least 2"),
+        ("[fourier]\ngrid_points = -8\n", "[fourier] grid_points = -8 must be at least 8"),
+        ("[martingale]\nhorizon = 0\n", "[martingale] horizon = 0 must be at least 1"),
+        ("[martingale]\nhorizon = 25\n", "[martingale] horizon = 25 must be at most 20"),
+        ("[chain]\nk_max = 0\n", "[chain] k_max = 0 must be at least 1"),
+        ("[chain]\ntheta = 0.5 1.5\n", "[chain] theta = 1.5: theta must lie in (0, 1)"),
+        ("[fourier]\nm_list = 16 0\n", "[fourier] m_list = 0 must be at least 1"),
     ], ids=["degree_max_2", "samples_negative", "members_0", "random_members_0",
             "random_members_negative", "family_atoms_negative", "norm_atoms_negative",
-            "grid_n_negative", "grid_points_negative"])
-    def test_value_below_its_least_exits_two(self, body, key, tmp_path, capsys):
+            "grid_n_negative", "grid_points_negative", "horizon_0", "horizon_25", "k_max_0",
+            "theta_1_5", "m_list_0"])
+    def test_value_below_its_least_exits_two(self, body, message, tmp_path, capsys):
         # a value no check can run on is named in one line before any check
-        kind = "fourier" if "fourier" in body else "chain"
+        section = body[1:body.index("]")]
+        kind = section if section in ("fourier", "martingale") else "chain"
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[scenario]\nkind = {kind}\n{body}")
-        assert cli_main([kind, "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be at least ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("kind, body, section", [
-        ("fourier", "[chain]\ntol = 5\n", "chain"),
-        ("martingale", "[chain]\ntol = 5\n", "chain"),
-        ("chain", "[martingale]\nhorizon = 12\n", "martingale"),
-        ("entropy", "[grid]\nn = 32\n", "grid"),
-        ("norm", "[nu]\nname = power\n", "nu"),
-        ("fourier", "[family]\ngenerator = disjoint_indicators\n", "family"),
-    ], ids=["fourier_chain_tol", "martingale_chain_tol", "chain_martingale_horizon",
-            "entropy_grid_n", "norm_nu", "fourier_family"])
-    def test_key_reaching_no_criterion_exits_two(self, kind, body, section, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"[scenario]\nkind = {kind}\n{body}")
-        with pytest.raises(DomainError, match=rf"^\[{section}\] reaches no {kind} criterion$"):
+        with pytest.raises(DomainError):
             load_scenario(cfg)
+        assert cli_main([kind, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind, body, source", [
+        ("fourier", "[chain]\ntol = 5\n", "[chain] tol"),
+        ("chain", "[martingale]\nhorizon = 12\n", "[martingale] horizon"),
+        ("entropy", "[grid]\nn = 32\n", "[grid] n"),
+        ("norm", "[nu]\nname = power\n", "[nu] name"),
+        ("fourier", "[family]\ngenerator = disjoint_indicators\n", "[family] generator"),
+    ], ids=["fourier_chain_tol", "chain_martingale_horizon", "entropy_grid_n", "norm_nu",
+            "fourier_family"])
+    def test_key_reaching_no_criterion_exits_two(self, kind, body, source, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\nkind = {kind}\n{body}")
+        with pytest.raises(DomainError,
+                           match=rf"^{re.escape(source)} reaches no {kind} criterion$"):
+            run(load_scenario(cfg))
         out = tmp_path / "report.txt"
         assert cli_main([kind, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {source} reaches no {kind} criterion\n"
+
+    def test_chain_tol_reaches_block_chain(self, tmp_path, monkeypatch):
+        # [chain] tol is the file form of --tol: it reaches every criterion declaring tol
+        seen = spy_criteria(monkeypatch)
+        cfg = tmp_path / "martingale.cfg"
+        cfg.write_text("[scenario]\nkind = martingale\n[chain]\ntol = 0.25\n")
+        assert cli_main(["martingale", "--config", str(cfg),
+                         "--out", str(tmp_path / "r.txt")]) == 0
+        assert seen == {"doob": {}, "block_chain": {"tol": 0.25}}
+
+    def test_no_two_keys_set_one_parameter(self, tmp_path):
+        # a parameter name set by two keys would reach the criteria of both;
+        # [norm] atoms sets space_atoms, so [family] atoms cannot reach indicator
+        save_family(tmp_path / "fam.tsv", random_nonneg_family(make_rng(55), 3, 8))
+        (tmp_path / "suite.cfg").write_text(DOCUMENTED)
+        (tmp_path / "file.cfg").write_text(
+            "[scenario]\nkind = chain\n[family]\ngenerator = file\npath = fam.tsv\n")
+        setters = {}
+        for name in ("suite.cfg", "file.cfg"):
+            for source, params in load_scenario(tmp_path / name).overrides:
+                for param in params:
+                    setters.setdefault(param, set()).add(source)
+        assert {param: keys for param, keys in setters.items() if len(keys) > 1} == {}
+
+    def test_each_key_reaches_the_criteria_that_declare_it(self, tmp_path, monkeypatch):
+        seen = spy_criteria(monkeypatch)
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(DOCUMENTED)
+        overrides = load_scenario(cfg).overrides
+        assert run_criteria("suite", 3, overrides).all_passed
+        declared = {name: set(inspect.signature(fn).parameters)
+                    for name, fn in zip(NAMES, CRITERIA)}
+        reach = {source: sorted(name for name in NAMES if declared[name] & set(params))
+                 for source, params in overrides}
+        assert reach == {
+            "[family] members": ["chained_bound", "generalized_pisier", "pisier"],
+            "[family] count": ["chained_bound", "generalized_pisier", "pisier"],
+            "[family] atoms": ["chained_bound", "generalized_pisier", "pisier"],
+            "[psi] name": ["chained_bound", "generalized_pisier", "indicator"],
+            "[nu] name": ["chained_bound"],
+            "[grid] lo": ["chained_bound", "generalized_pisier", "indicator"],
+            "[grid] p_max": ["block_chain", "chained_bound", "fatou", "fourier",
+                             "generalized_pisier", "indicator"],
+            "[grid] n": ["chained_bound", "generalized_pisier", "indicator"],
+            "[chain] theta": ["chained_bound"],
+            "[chain] k_max": ["chained_bound"],
+            "[chain] tol": ["block_chain", "chained_bound", "generalized_pisier", "pisier"],
+            "[norm] deltas": ["indicator"],
+            "[norm] atoms": ["indicator"],
+            "[norm] atom_mass": ["indicator"],
+            "[martingale] horizon": ["block_chain", "doob"],
+            "[martingale] p": ["doob"],
+            "[fourier] m_list": ["fourier"],
+            "[fourier] samples": ["fourier"],
+            "[fourier] degree_max": ["fourier"],
+            "[fourier] grid_points": ["fourier"],
+        }
+        # and each criterion got exactly the parameters it declares
+        for name, params in seen.items():
+            expected = {param: value for _, values in overrides
+                        for param, value in values.items() if param in declared[name]}
+            assert params.keys() == expected.keys(), name
+
+    @pytest.mark.parametrize("key, flag, param", [
+        ("[grid]\np_max = 50\n", "--p-max", "p_max"),
+        ("[chain]\ntol = 0.5\n", "--tol", "tol"),
+    ], ids=["p_max", "tol"])
+    def test_flag_after_config_wins(self, key, flag, param, tmp_path, monkeypatch):
+        seen = spy_criteria(monkeypatch)
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"[scenario]\nkind = suite\n{key}")
+        out = tmp_path / "report.txt"
+        assert cli_main(["suite", "--config", str(cfg), flag, "40", "--out", str(out)]) == 0
+        takers = [name for name, params in seen.items() if param in params]
+        assert takers and all(seen[name][param] == 40.0 for name in takers)
+        p_max = 40.0 if param == "p_max" else 200.0
+        assert f"meta.p_max = {p_max}\n" in out.read_text()
 
     def test_grid_p_max_is_the_cap_meta_reports(self, tmp_path):
         # [grid] p_max is the file form of --p-max, and the flag overrides it
@@ -289,7 +406,7 @@ class TestScenarioConfig:
         out = tmp_path / "report.txt"
         assert cli_main(["entropy", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err == "error: no entropy criterion takes p_max\n"
+        assert capsys.readouterr().err == "error: [grid] p_max reaches no entropy criterion\n"
 
     @pytest.mark.parametrize("body, key", [
         ("[psi]\nbeta = 3\n", "[psi] beta"),
@@ -313,32 +430,26 @@ class TestScenarioConfig:
         # no table lists the keys: each one is accepted only because a read takes it
         save_family(tmp_path / "fam.tsv", random_nonneg_family(make_rng(55), 3, 8))
         suite_cfg = tmp_path / "suite.cfg"
-        suite_cfg.write_text(
-            "[scenario]\nkind = suite\nseed = 3\n"
-            "[grid]\nlo = 1.1\np_max = 50\nn = 16\n"
-            "[psi]\nname = table\npoints = 1 2 4\nvalues = 1 2 3\n"
-            "[nu]\nname = ratio\nkappa = 2\n"
-            "[family]\ngenerator = random_nonneg\nmembers = 3\natoms = 8\ncount = 2\n"
-            "[chain]\ntheta = 0.5\nk_max = 8\ntol = 1e-9\n"
-            "[norm]\ndeltas = 0.5\natoms = 16\natom_mass = 0.0625\n"
-            "[martingale]\nhorizon = 4\np = 2\n"
-            "[fourier]\nm_list = 8\ndegree_max = 4\nsamples = 1\ngrid_points = 64\n")
-        scn = load_scenario(suite_cfg)
-        assert scn.p_max == 50.0
-        params = scn.params
-        assert params["fourier"] == {"m_list": (8,), "samples": 1, "degree_max": 4,
-                                     "grid_points": 64}
-        assert params["doob"] == {"horizons": (4,), "ps": (2.0,)}
-        assert params["indicator"]["atom_mass"] == 0.0625
-        assert params["chained_bound"]["members"] == (3, 4)
-        assert params["chained_bound"]["nus"][0].label == "ratio[2]"
-        assert params["chained_bound"]["psi"](np.array([3.0])) == pytest.approx(6 ** 0.5)
+        suite_cfg.write_text(DOCUMENTED)
+        params = dict(load_scenario(suite_cfg).overrides)
+        assert params["[grid] p_max"] == {"p_max": 50.0}
+        assert [params[f"[fourier] {key}"] for key in ("m_list", "samples", "degree_max",
+                                                       "grid_points")] \
+            == [{"m_list": (8,)}, {"samples": 1}, {"degree_max": 4}, {"grid_points": 64}]
+        assert params["[martingale] horizon"] == {"horizons": (4,), "horizon": 4}
+        assert params["[martingale] p"] == {"ps": (2.0,)}
+        assert params["[norm] atoms"] == {"space_atoms": 16}
+        assert params["[norm] atom_mass"] == {"atom_mass": 0.0625}
+        assert params["[family] members"] == {"members": (3, 4)}
+        assert params["[nu] name"]["nus"][0].label == "ratio[2]"
+        assert params["[psi] name"]["psi"](np.array([3.0])) == pytest.approx(6 ** 0.5)
         file_cfg = tmp_path / "file.cfg"
         file_cfg.write_text("[scenario]\nkind = chain\n"
                             "[family]\ngenerator = file\npath = fam.tsv\n"
                             "[psi]\nname = power\nbeta = 2\n")
-        params = load_scenario(file_cfg).params["chained_bound"]
-        assert params["family"].values.shape == (3, 8) and params["psi"].label == "power[2]"
+        params = dict(load_scenario(file_cfg).overrides)
+        assert params["[family] generator"]["family"].values.shape == (3, 8)
+        assert params["[psi] name"]["psi"].label == "power[2]"
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_passes(self, path, tmp_path):
@@ -402,12 +513,13 @@ class TestCli:
         assert cli_main([verb, "--p-max", "0.5", "--out", str(out)]) == 1
         assert "summary.verdict = FAIL" in out.read_text()
 
+    # the three sizes ask numpy for 7.28 TiB, which fails at once
     @pytest.mark.parametrize("verb,body", [
-        ("chain", "[family]\ncount = 2\n[chain]\nk_max = 0\n"),
-        ("fourier", "[fourier]\nm_list = 0\n"),
         ("martingale", "[martingale]\np = 1\n"),
-        ("martingale", "[martingale]\nhorizon = 0\n"),
-    ], ids=["k_max_0", "m_list_0", "doob_p_1", "horizon_0"])
+        ("norm", "[norm]\natoms = 1000000000000\n"),
+        ("fourier", "[fourier]\ngrid_points = 1000000000000\n"),
+        ("chain", "[family]\ncount = 2\n[grid]\nn = 1000000000000\n"),
+    ], ids=["doob_p_1", "norm_atoms_huge", "grid_points_huge", "grid_n_huge"])
     def test_bad_config_value_is_a_failed_record(self, verb, body, tmp_path, capsys):
         # a value a check cannot run on fails that check's record with a
         # one-line error instead of ending the run in a traceback

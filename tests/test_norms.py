@@ -274,8 +274,9 @@ def test_bgl_homogeneity_and_triangle(values_a, values_b, c):
     grid = PGrid.log_spaced(1.1, 30, 24)
     psi = power(0.5)
     nf = bgl_norm(f, psi, grid).value
-    assert bgl_norm(c * f, psi, grid).value == pytest.approx(c * nf, rel=1e-9, abs=1e-12)
-    assert (bgl_norm(f + g, psi, grid).value
+    scaled = SimpleFunction(space, c * f.values)
+    assert bgl_norm(scaled, psi, grid).value == pytest.approx(c * nf, rel=1e-9, abs=1e-12)
+    assert (bgl_norm(SimpleFunction(space, f.values + g.values), psi, grid).value
             <= nf + bgl_norm(g, psi, grid).value + 1e-12)
 
 
@@ -613,7 +614,7 @@ class TestFatou:
 
     def test_scaled_chain_gap_bounded_by_homogeneity(self):
         f = SimpleFunction(unit_space(10), np.linspace(0.1, 1.0, 10))
-        chain = [(1.0 - 1.0 / n) * f for n in range(2, 12)]
+        chain = [SimpleFunction(f.space, (1.0 - 1.0 / n) * f.values) for n in range(2, 12)]
         rep = fatou_check(chain, f, constant(), self.grid())
         norm_f = bgl_norm(f, constant(), self.grid()).value
         assert rep.monotone
