@@ -8,8 +8,6 @@ report.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .entropy import SemiMetric
@@ -20,12 +18,9 @@ __all__ = [
     "random_nonneg_family",
     "disjoint_indicator_family",
     "random_plane_metric",
-    "unit_interval_metric",
-    "unit_square_metric",
     "circle_lattice_metric",
     "torus_lattice_metric",
     "random_trig_coeffs",
-    "sqrt_singularity_function",
 ]
 
 
@@ -51,18 +46,6 @@ def random_plane_metric(rng: np.random.Generator, m: int, grid_snap: int = 64) -
     """Euclidean metric of m random points snapped to a coarse lattice, so
     scale tests stay clear of floating-point boundary flips."""
     pts = rng.integers(0, grid_snap + 1, size=(m, 2)) / grid_snap
-    return SemiMetric.from_points(pts)
-
-
-def unit_interval_metric(n: int) -> SemiMetric:
-    x = np.linspace(0.0, 1.0, n)[:, None]
-    return SemiMetric.from_points(x)
-
-
-def unit_square_metric(side: int) -> SemiMetric:
-    g = np.linspace(0.0, 1.0, side)
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
     return SemiMetric.from_points(pts)
 
 
@@ -98,14 +81,3 @@ def random_trig_coeffs(rng: np.random.Generator, degree: int):
     b = rng.normal(0.0, 1.0, size=degree + 1) / np.arange(1, degree + 2)
     b[0] = 0.0
     return a, b
-
-
-def sqrt_singularity_function(n_atoms: int = 4000):
-    """Midpoint discretization of f(x) = x^{-1/2} on (0, 1]: the moment
-    function is (2/(2-p))^{1/p} for p in (1, 2), a closed-form generating
-    function to test against."""
-    from .measure import SimpleFunction
-
-    x = (np.arange(n_atoms) + 0.5) / n_atoms
-    space = DiscreteMeasureSpace(np.full(n_atoms, 1.0 / n_atoms))
-    return SimpleFunction(space, x ** -0.5)

@@ -45,8 +45,7 @@ class FourierSample:
 
     def __post_init__(self):
         k = self.x.size
-        if k % 2 != 0 or k < 8:
-            raise DomainError("need an even grid size K >= 8")
+        check_grid_size(k)
         if self.values.shape != self.x.shape:
             raise DomainError("values must match the grid")
         if not np.array_equal(self.x, _uniform_grid(k)):
@@ -62,6 +61,12 @@ class FourierSample:
 
     def as_function(self) -> SimpleFunction:
         return SimpleFunction(self.space, self.values)
+
+
+def check_grid_size(k: int) -> None:
+    """The sample grids have an even number K >= 8 of points."""
+    if k % 2 != 0 or k < 8:
+        raise DomainError("need an even grid size K >= 8")
 
 
 def _uniform_grid(k: int) -> np.ndarray:

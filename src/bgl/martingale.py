@@ -257,6 +257,12 @@ class DoobReport:
         return self.ratio <= self.cap
 
 
+def check_doob_p(p: float) -> None:
+    """Doob's L_p maximal inequality holds for p > 1 only."""
+    if not p > 1:
+        raise DomainError("Doob inequality needs p > 1")
+
+
 def doob_check(ens: MartingaleEnsemble, p: float, n: int) -> DoobReport:
     """|max_{k<=n} |S_k||_p <= (p/(p-1)) max_{k<=n} |S_k|_p, exactly.
 
@@ -264,8 +270,7 @@ def doob_check(ens: MartingaleEnsemble, p: float, n: int) -> DoobReport:
     kernel call; the members are read from the walk's `member_norms` table
     at p, each S_k on F_k's atoms.
     """
-    if p <= 1:
-        raise DomainError("Doob inequality needs p > 1")
+    check_doob_p(p)
     weights, s = ens.level(n)
     ps = np.array([p], dtype=float)
     lhs = float(lp_norm_matrix(np.abs(s).max(axis=1)[None, :], weights, ps)[0, 0])

@@ -67,10 +67,14 @@ Set together, [psi] and [nu] name generalized_pisier's single (psi, nu)
 pair; one left out is natural or power 1 respectively.  `natural` is the
 self-normalizing psi of each family, so the indicator check rejects it.
 
-Values are parsed and validated when the file loads: unknown sections, a
-key the config does not read (say `beta` under `name = ratio`), bad numbers,
-values no check can run on and unknown names raise DomainError before any
-check runs.  Errors inside a check become failed records.
+Values are parsed when the file loads: unknown sections, a key the config
+does not read (say `beta` under `name = ratio`), bad numbers and unknown
+names raise DomainError.  `run_criteria` then checks each value against its
+parameter's rule in `bgl.suite._RULES`, and `p_max` against each grid's
+lower end, before any check runs: a value no check can run on (`[martingale]
+p = 1`, `[grid] lo = 0.5`, `[fourier] m_list = 512` at 1024 grid points)
+raises DomainError too.  Errors inside a check become failed records, among
+them a delta that no subset of the atoms adds up to.
 """
 
 from __future__ import annotations
@@ -80,13 +84,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .entropy import check_theta
 from .errors import DomainError
 from .fixtures import disjoint_indicator_family
-from .martingale import EXHAUSTIVE_HORIZON_LIMIT
 from .measure import load_family
 from .psi import constant, doob_factor, from_table, power, ratio
-from .suite import NATURAL, VERBS
+from .suite import NATURAL, VERBS, check_value
 
 __all__ = ["Scenario", "load_scenario"]
 
@@ -132,7 +134,7 @@ def _take(sections: dict, section: str, key: str, default=None):
     return sections.get(section, {}).pop(key, default)
 
 
-def _parse(section: str, key: str, raw: str, kind, least=None, most=None):
+def _parse(section: str, key: str, raw: str, kind):
     try:
         value = kind(raw)
     except ValueError:
@@ -140,25 +142,21 @@ def _parse(section: str, key: str, raw: str, kind, least=None, most=None):
     if not math.isfinite(value):
         what = "an integer" if kind is int else "a finite number"
         raise DomainError(f"[{section}] {key} = {raw!r} is not {what}")
-    if least is not None and value < least:
-        raise DomainError(f"[{section}] {key} = {value} must be at least {least}")
-    if most is not None and value > most:
-        raise DomainError(f"[{section}] {key} = {value} must be at most {most}")
     return value
 
 
-def _value(sections: dict, section: str, key: str, kind, default=None, least=None, most=None):
+def _value(sections: dict, section: str, key: str, kind, default=None):
     raw = _take(sections, section, key)
-    return default if raw is None else _parse(section, key, raw, kind, least, most)
+    return default if raw is None else _parse(section, key, raw, kind)
 
 
-def _values(sections: dict, section: str, key: str, kind, least=None):
+def _values(sections: dict, section: str, key: str, kind):
     raw = _take(sections, section, key)
     if raw is None:
         return None
     if not raw.split():
         raise DomainError(f"[{section}] {key} needs at least one value")
-    return tuple(_parse(section, key, tok, kind, least) for tok in raw.split())
+    return tuple(_parse(section, key, tok, kind) for tok in raw.split())
 
 
 def _psi(sections: dict, section: str):
@@ -192,16 +190,6 @@ def _family_file(sections: dict, base: Path):
         raise DomainError(f"cannot load family {path}: {exc}") from exc
 
 
-def _thetas(sections: dict):
-    thetas = _values(sections, "chain", "theta", float)
-    try:
-        for theta in thetas or ():
-            check_theta(theta)
-    except DomainError as exc:
-        raise DomainError(f"[chain] theta = {theta}: {exc}") from None
-    return thetas
-
-
 def _overrides(sections: dict, kind: str, base: Path) -> tuple:
     """One ``(source, {parameter: value})`` per key the config sets, in
     reading order; the keys a constructor or generator reads (``beta``,
@@ -215,12 +203,14 @@ def _overrides(sections: dict, kind: str, base: Path) -> tuple:
 
     generator = _take(sections, "family", "generator", "random_nonneg")
     if generator == "random_nonneg":
-        members = _value(sections, "family", "members", int, least=1)
+        members = _value(sections, "family", "members", int)
         put("family", "members", members=None if members is None else (members, members + 1))
         put("family", "count", count=_value(sections, "family", "count", int))
-        put("family", "atoms", atoms=_value(sections, "family", "atoms", int, least=1))
+        put("family", "atoms", atoms=_value(sections, "family", "atoms", int))
     elif generator == "disjoint_indicators":
-        members = _value(sections, "family", "members", int, 12, least=1)
+        # the family is built here, so its size meets the members rule first
+        members = _value(sections, "family", "members", int, 12)
+        check_value("[family] members", "members", members)
         put("family", "generator", family=disjoint_indicator_family(members))
     elif generator == "file":
         put("family", "generator", family=_family_file(sections, base))
@@ -239,28 +229,23 @@ def _overrides(sections: dict, kind: str, base: Path) -> tuple:
 
     put("grid", "lo", grid_lo=_value(sections, "grid", "lo", float))
     put("grid", "p_max", p_max=_value(sections, "grid", "p_max", float))
-    put("grid", "n", grid_n=_value(sections, "grid", "n", int, least=2))
+    put("grid", "n", grid_n=_value(sections, "grid", "n", int))
 
-    put("chain", "theta", thetas=_thetas(sections))
-    put("chain", "k_max", k_max=_value(sections, "chain", "k_max", int, least=1))
+    put("chain", "theta", thetas=_values(sections, "chain", "theta", float))
+    put("chain", "k_max", k_max=_value(sections, "chain", "k_max", int))
     put("chain", "tol", tol=_value(sections, "chain", "tol", float))
 
     put("norm", "deltas", deltas=_values(sections, "norm", "deltas", float))
-    put("norm", "atoms", space_atoms=_value(sections, "norm", "atoms", int, least=1))
+    put("norm", "atoms", space_atoms=_value(sections, "norm", "atoms", int))
     put("norm", "atom_mass", atom_mass=_value(sections, "norm", "atom_mass", float))
 
-    # config walks take the +-1 law, which enumerates up to the full limit
-    horizon = _value(sections, "martingale", "horizon", int, least=1,
-                     most=EXHAUSTIVE_HORIZON_LIMIT)
+    horizon = _value(sections, "martingale", "horizon", int)
     put("martingale", "horizon", horizons=None if horizon is None else (horizon,),
         horizon=horizon)
     put("martingale", "p", ps=_values(sections, "martingale", "p", float))
 
-    put("fourier", "m_list", m_list=_values(sections, "fourier", "m_list", int, least=1))
-    put("fourier", "samples", samples=_value(sections, "fourier", "samples", int, least=0))
-    # the random polynomials draw their degree from 3..degree_max
-    put("fourier", "degree_max", degree_max=_value(sections, "fourier", "degree_max", int,
-                                                   least=3))
-    put("fourier", "grid_points", grid_points=_value(sections, "fourier", "grid_points", int,
-                                                     least=8))
+    put("fourier", "m_list", m_list=_values(sections, "fourier", "m_list", int))
+    put("fourier", "samples", samples=_value(sections, "fourier", "samples", int))
+    put("fourier", "degree_max", degree_max=_value(sections, "fourier", "degree_max", int))
+    put("fourier", "grid_points", grid_points=_value(sections, "fourier", "grid_points", int))
     return tuple(found)

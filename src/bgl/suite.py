@@ -26,7 +26,8 @@ from .chaining import (
     pisier_bound,
     series_S_beta,
 )
-from .entropy import SemiMetric, covering_number, covering_profile, entropy_dimension, family_semimetric
+from .entropy import (SemiMetric, check_theta, covering_number, covering_profile,
+                      entropy_dimension, family_semimetric)
 from .errors import DomainError
 from .fixtures import (
     circle_lattice_metric,
@@ -37,9 +38,11 @@ from .fixtures import (
     random_trig_coeffs,
     torus_lattice_metric,
 )
-from .fourier import maximal_ratio_check, square_wave_sample, trig_poly_sample
+from .fourier import check_grid_size, maximal_ratio_check, square_wave_sample, trig_poly_sample
 from .martingale import (
+    EXHAUSTIVE_HORIZON_LIMIT,
     build_walk_ensemble,
+    check_doob_p,
     doob_check,
     martingale_block_check,
     norming_identity,
@@ -57,6 +60,8 @@ __all__ = ["run_suite", "run_criteria", "CRITERIA", "VERBS", "NATURAL"]
 # Stands for the natural generating function of each checked family; psi
 # parameters of the chain criteria accept it in place of a PsiFunction.
 NATURAL = "natural"
+
+_FIXED_LO = 1.1  # lower end of the p-grids of the criteria without grid_lo
 
 
 def _grid(p_max: float, n: int = 64, lo: float = 1.05) -> PGrid:
@@ -214,7 +219,7 @@ def criterion_fatou(seed: int, p_max: float = 200.0) -> Record:
         v = np.zeros(n)
         v[:k] = full.values[:k]
         chain.append(SimpleFunction(space, v))
-    rep = fatou_check(chain, full, doob_factor(), _grid(p_max, lo=1.1))
+    rep = fatou_check(chain, full, doob_factor(), _grid(p_max, lo=_FIXED_LO))
     ok = rep.monotone and 0.0 <= rep.terminal_gap < 1e-6
     return Record("fatou_monotone_convergence", ok,
                   fields=dict(chain_length=len(chain), terminal_gap=rep.terminal_gap,
@@ -329,7 +334,7 @@ def criterion_doob(seed: int, *, horizons=(10, 14), ps=(1.25, 2.0, 4.0)) -> Reco
 
 def criterion_block_chain(seed: int, p_max: float = 200.0, *, horizon: int = 14,
                           tol: float = 1e-9) -> Record:
-    grid = _grid(min(50.0, p_max), 48, 1.1)
+    grid = _grid(min(50.0, p_max), 48, _FIXED_LO)
     ens = build_walk_ensemble(horizon)
     ok = True
     ratios = []
@@ -351,7 +356,7 @@ def criterion_fourier(seed: int, p_max: float = 200.0, *, m_list=(16, 32, 64, 12
                       samples: int = 5, degree_max: int = 12,
                       grid_points: int = 1024) -> Record:
     rng = make_rng(seed)
-    grid = _grid(min(32.0, p_max), 24, 1.1)
+    grid = _grid(min(32.0, p_max), 24, _FIXED_LO)
     cases = [square_wave_sample(grid_points)]
     for _ in range(samples):
         a, b = random_trig_coeffs(rng, int(rng.integers(3, degree_max + 1)))
@@ -399,11 +404,71 @@ def takes(name: str, param: str) -> bool:
     return param in inspect.signature(CRITERIA[NAMES.index(name)]).parameters
 
 
-def _check_override(param: str, value) -> None:
-    if param == "p_max" and not math.isfinite(value):
-        raise DomainError(f"p_max must be finite, got {value}")
-    if param == "tol" and not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"tolerance must be finite and nonnegative, got {value}")
+def _range(least, most=math.inf, *, above=False):
+    """Rule: finite, at least ``least`` (above it if ``above``), at most ``most``."""
+    def rule(value):
+        if not math.isfinite(value):
+            raise DomainError("must be finite")
+        if value < least or (above and value == least):
+            raise DomainError(f"must be {'above' if above else 'at least'} {least}")
+        if value > most:
+            raise DomainError(f"must be at most {most}")
+    return rule
+
+
+# The rule of each parameter a config key or flag sets, applied to each item
+# of a tuple value.  count has none, so count = 0 checks nothing and fails;
+# the object-valued family, pairs, psi, psis and nus are checked when built.
+_RULES = {
+    "members": _range(1),
+    "atoms": _range(1),
+    "space_atoms": _range(1),
+    "atom_mass": _range(0, above=True),
+    "deltas": _range(0, above=True),
+    "grid_lo": _range(1, above=True),  # every built-in psi has the support (1, inf)
+    "grid_n": _range(2),
+    "p_max": _range(-math.inf),  # and above each grid's lower end, in _check_spans
+    "tol": _range(0),
+    "thetas": check_theta,
+    "k_max": _range(1),
+    "horizons": _range(1, EXHAUSTIVE_HORIZON_LIMIT),  # config walks take the +-1 law
+    "horizon": _range(1, EXHAUSTIVE_HORIZON_LIMIT),
+    "ps": check_doob_p,
+    "m_list": _range(1),
+    "samples": _range(0),
+    "degree_max": _range(3),  # the random polynomials draw their degree from 3..degree_max
+    "grid_points": check_grid_size,
+}
+
+
+def check_value(source: str, param: str, value) -> None:
+    """Apply the rule of ``param`` to ``value``, item by item for a tuple;
+    DomainError reads ``<source> = <item>: <reason>``."""
+    rule = _RULES.get(param)
+    if rule is None:
+        return
+    for item in value if isinstance(value, (tuple, list)) else (value,):
+        try:
+            rule(item)
+        except DomainError as exc:
+            raise DomainError(f"{source} = {item}: {exc}") from None
+
+
+def _check_spans(args: dict, origin: dict) -> None:
+    """The rules spanning two parameters, on one criterion's arguments with its
+    defaults filled in; the error names the source of p_max or m_list if one
+    set it, else the source of grid_lo or grid_points."""
+    p_max, lo = args.get("p_max", math.inf), args.get("grid_lo", _FIXED_LO)
+    if not p_max > lo:
+        if "p_max" in origin:
+            raise DomainError(f"{origin['p_max']} = {p_max}: must exceed the grid's lower end {lo}")
+        raise DomainError(f"{origin['grid_lo']} = {lo}: must lie below p_max = {p_max}")
+    m, k = max(args.get("m_list", ()), default=0), args.get("grid_points", 0)
+    if m > k // 4:
+        if "m_list" in origin:
+            raise DomainError(f"{origin['m_list']} = {m}: must be at most grid_points/4 = {k // 4}")
+        raise DomainError(f"{origin['grid_points']} = {k}: "
+                          f"must be at least 4 * max(m_list) = {4 * m}")
 
 
 def run_criteria(kind: str, seed: int, overrides=()) -> Report:
@@ -411,20 +476,23 @@ def run_criteria(kind: str, seed: int, overrides=()) -> Report:
 
     ``overrides`` is a sequence of ``(source, {parameter: value})`` applied in
     order, so a later source wins.  Each parameter goes to every criterion of
-    the verb that declares it; DomainError names a source that reaches none,
-    and rejects a non-finite ``p_max`` and a negative or non-finite ``tol``.
+    the verb that declares it.  Before any criterion runs, DomainError names
+    a source that reaches none, a value its parameter's rule in ``_RULES``
+    rejects, and a value that fails a rule spanning parameters.
     A ValueError (the base of bgl's domain errors) or MemoryError raised
     inside a check becomes a failed record carrying its sub-seed, so the
     rest of the run still reports.
     """
     names = VERBS[kind]
     params = {name: {} for name in names}
+    origin = {}  # parameter -> the source that set it last
     # every criterion that takes p_max defaults it to 200
     p_max = 200.0
     for source, values in overrides:
         reached = False
         for param, value in values.items():
-            _check_override(param, value)
+            check_value(source, param, value)
+            origin[param] = source
             for name in names:
                 if takes(name, param):
                     params[name][param] = value
@@ -432,6 +500,10 @@ def run_criteria(kind: str, seed: int, overrides=()) -> Report:
         if not reached:
             raise DomainError(f"{source} reaches no {kind} criterion")
         p_max = values.get("p_max", p_max)
+    for name in names:
+        args = inspect.signature(CRITERIA[NAMES.index(name)]).bind(seed, **params[name])
+        args.apply_defaults()
+        _check_spans(args.arguments, origin)
     report = Report(meta={"kind": kind, "seed": seed, "p_max": p_max})
     for name in names:
         i = NAMES.index(name)

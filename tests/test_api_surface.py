@@ -17,7 +17,7 @@ from pathlib import Path
 
 import bgl
 
-LIMIT = 48
+LIMIT = 47
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,9 +31,6 @@ TEST_ONLY = {
     "psi.check_log_convex": "check without a suite verdict yet",
     "psi.psi_kappa12": "weight without a suite verdict yet",
     "measure.save_family": "writer of the file format load_family reads",
-    "fixtures.unit_interval_metric": "test fixture",
-    "fixtures.unit_square_metric": "test fixture",
-    "fixtures.sqrt_singularity_function": "test fixture",
     # reference implementations that tests compare faster code against
     "martingale.MartingaleEnsemble.s_at": "full-path reference for the level tests",
     "martingale.MartingaleEnsemble.running_abs_max": "full-path reference for the level tests",

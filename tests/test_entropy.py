@@ -28,13 +28,23 @@ from bgl.fixtures import (
     random_nonneg_family,
     random_plane_metric,
     torus_lattice_metric,
-    unit_interval_metric,
-    unit_square_metric,
 )
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction
 from bgl import norms
 from bgl.norms import grid_sups, lp_norm, lp_norm_matrix, natural_psi
 from bgl.psi import PGrid, constant, power, psi_doob
+
+
+def unit_interval_metric(n: int) -> SemiMetric:
+    x = np.linspace(0.0, 1.0, n)[:, None]
+    return SemiMetric.from_points(x)
+
+
+def unit_square_metric(side: int) -> SemiMetric:
+    g = np.linspace(0.0, 1.0, side)
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    return SemiMetric.from_points(pts)
 
 
 def brute_force_cover(metric, eps, subset=None):

@@ -243,36 +243,89 @@ class TestScenarioConfig:
         assert cli_main(["chain", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("body, message", [
-        ("[fourier]\ndegree_max = 2\n", "[fourier] degree_max = 2 must be at least 3"),
-        ("[fourier]\nsamples = -1\n", "[fourier] samples = -1 must be at least 0"),
-        ("[family]\ngenerator = disjoint_indicators\nmembers = 0\n",
-         "[family] members = 0 must be at least 1"),
-        ("[family]\nmembers = 0\n", "[family] members = 0 must be at least 1"),
-        ("[family]\nmembers = -3\n", "[family] members = -3 must be at least 1"),
-        ("[family]\natoms = -1\n", "[family] atoms = -1 must be at least 1"),
-        ("[norm]\natoms = -2\n", "[norm] atoms = -2 must be at least 1"),
-        ("[grid]\nn = -5\n", "[grid] n = -5 must be at least 2"),
-        ("[fourier]\ngrid_points = -8\n", "[fourier] grid_points = -8 must be at least 8"),
-        ("[martingale]\nhorizon = 0\n", "[martingale] horizon = 0 must be at least 1"),
-        ("[martingale]\nhorizon = 25\n", "[martingale] horizon = 25 must be at most 20"),
-        ("[chain]\nk_max = 0\n", "[chain] k_max = 0 must be at least 1"),
-        ("[chain]\ntheta = 0.5 1.5\n", "[chain] theta = 1.5: theta must lie in (0, 1)"),
-        ("[fourier]\nm_list = 16 0\n", "[fourier] m_list = 0 must be at least 1"),
-    ], ids=["degree_max_2", "samples_negative", "members_0", "random_members_0",
-            "random_members_negative", "family_atoms_negative", "norm_atoms_negative",
-            "grid_n_negative", "grid_points_negative", "horizon_0", "horizon_25", "k_max_0",
-            "theta_1_5", "m_list_0"])
-    def test_value_below_its_least_exits_two(self, body, message, tmp_path, capsys):
-        # a value no check can run on is named in one line before any check
-        section = body[1:body.index("]")]
-        kind = section if section in ("fourier", "martingale") else "chain"
+    # (verb, config body, flags, the error line): each value's rule, or a rule
+    # spanning two parameters, rejects it before any criterion runs
+    REJECTED = {
+        "degree_max_2": ("fourier", "[fourier]\ndegree_max = 2\n", (),
+                         "[fourier] degree_max = 2: must be at least 3"),
+        "samples_negative": ("fourier", "[fourier]\nsamples = -1\n", (),
+                             "[fourier] samples = -1: must be at least 0"),
+        "members_0": ("chain", "[family]\ngenerator = disjoint_indicators\nmembers = 0\n", (),
+                      "[family] members = 0: must be at least 1"),
+        "random_members_0": ("chain", "[family]\nmembers = 0\n", (),
+                             "[family] members = 0: must be at least 1"),
+        "random_members_negative": ("chain", "[family]\nmembers = -3\n", (),
+                                    "[family] members = -3: must be at least 1"),
+        "family_atoms_negative": ("chain", "[family]\natoms = -1\n", (),
+                                  "[family] atoms = -1: must be at least 1"),
+        "norm_atoms_negative": ("norm", "[norm]\natoms = -2\n", (),
+                                "[norm] atoms = -2: must be at least 1"),
+        "grid_n_negative": ("chain", "[grid]\nn = -5\n", (),
+                            "[grid] n = -5: must be at least 2"),
+        "grid_points_negative": ("fourier", "[fourier]\ngrid_points = -8\n", (),
+                                 "[fourier] grid_points = -8: need an even grid size K >= 8"),
+        "horizon_0": ("martingale", "[martingale]\nhorizon = 0\n", (),
+                      "[martingale] horizon = 0: must be at least 1"),
+        "horizon_25": ("martingale", "[martingale]\nhorizon = 25\n", (),
+                       "[martingale] horizon = 25: must be at most 20"),
+        "k_max_0": ("chain", "[chain]\nk_max = 0\n", (), "[chain] k_max = 0: must be at least 1"),
+        "theta_1_5": ("chain", "[chain]\ntheta = 0.5 1.5\n", (),
+                      "[chain] theta = 1.5: theta must lie in (0, 1)"),
+        "m_list_0": ("fourier", "[fourier]\nm_list = 16 0\n", (),
+                     "[fourier] m_list = 0: must be at least 1"),
+        **{f"doob_p_{name}": ("martingale", f"[martingale]\np = {p}\n", (),
+                              f"[martingale] p = {float(p)}: Doob inequality needs p > 1")
+           for name, p in (("0_5", "0.5"), ("1", "1"), ("negative", "-2"))},
+        "grid_lo_0_5": ("chain", "[grid]\nlo = 0.5\n", (), "[grid] lo = 0.5: must be above 1"),
+        "grid_lo_300": ("chain", "[grid]\nlo = 300\n", (),
+                        "[grid] lo = 300.0: must lie below p_max = 200.0"),
+        "atom_mass_negative": ("norm", "[norm]\natom_mass = -1\n", (),
+                               "[norm] atom_mass = -1.0: must be above 0"),
+        "deltas_negative": ("norm", "[norm]\ndeltas = 1 -1\n", (),
+                            "[norm] deltas = -1.0: must be above 0"),
+        "grid_points_9": ("fourier", "[fourier]\ngrid_points = 9\n", (),
+                          "[fourier] grid_points = 9: need an even grid size K >= 8"),
+        "m_list_512": ("fourier", "[fourier]\nm_list = 16 512\n", (),
+                       "[fourier] m_list = 512: must be at most grid_points/4 = 256"),
+        "grid_points_64": ("fourier", "[fourier]\ngrid_points = 64\n", (),
+                           "[fourier] grid_points = 64: must be at least 4 * max(m_list) = 512"),
+        "grid_p_max_1_08": ("martingale", "[grid]\np_max = 1.08\n", (),
+                            "[grid] p_max = 1.08: must exceed the grid's lower end 1.1"),
+        **{f"{verb}_p_max_{name}": (verb, "", ("--p-max", p),
+                                    f"--p-max = {float(p)}: must exceed the grid's lower end "
+                                    f"{1.05 if verb in ('chain', 'norm') else 1.1}")
+           for verb in ("chain", "norm", "martingale", "fourier")
+           for name, p in (("0_5", "0.5"), ("1", "1.0"), ("negative", "-3"))},
+        **{f"{verb}_p_max_1_08": (verb, "", ("--p-max", "1.08"),
+                                  "--p-max = 1.08: must exceed the grid's lower end 1.1")
+           for verb in ("martingale", "norm", "fourier")},
+    }
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_value_below_its_least_exits_two(self, case, tmp_path, monkeypatch, capsys):
+        # a value no check can run on is named in one line before any check runs
+        verb, body, flags, message = self.REJECTED[case]
+        seen = spy_criteria(monkeypatch)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"[scenario]\nkind = {kind}\n{body}")
-        with pytest.raises(DomainError):
-            load_scenario(cfg)
-        assert cli_main([kind, "--config", str(cfg)]) == 2
+        cfg.write_text(f"[scenario]\nkind = {verb}\n{body}")
+        out = tmp_path / "report.txt"
+        assert cli_main([verb, "--config", str(cfg), *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert seen == {} and not out.exists()
+
+    @pytest.mark.parametrize("verb, body, flags, code", [
+        ("chain", "", ("--p-max", "1.08"), 0),
+        ("chain", "[family]\ncount = 0\n", (), 1),
+    ], ids=["chain_p_max_1_08", "count_0"])
+    def test_value_inside_its_rule_runs(self, verb, body, flags, code, tmp_path):
+        # 1.08 lies above the chain grids' lower end 1.05; count has no rule
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(f"[scenario]\nkind = {verb}\n{body}")
+        out = tmp_path / "report.txt"
+        assert cli_main([verb, "--config", str(cfg), *flags, "--out", str(out)]) == code
+        text = out.read_text()
+        assert ".error = " not in text
+        assert text.count("reason = no case was checked") == (3 if code else 0)
 
     @pytest.mark.parametrize("kind, body, source", [
         ("fourier", "[chain]\ntol = 5\n", "[chain] tol"),
@@ -354,6 +407,29 @@ class TestScenarioConfig:
             expected = {param: value for _, values in overrides
                         for param, value in values.items() if param in declared[name]}
             assert params.keys() == expected.keys(), name
+
+    def test_every_parameter_has_a_rule(self, tmp_path, monkeypatch):
+        # a new key or flag cannot skip the rule table: each parameter it sets
+        # has a rule, or is count or an object its constructor checks at load
+        from bgl import cli
+        from bgl.suite import _RULES
+
+        no_rule = ("count", "family", "pairs", "psi", "psis", "nus")
+        spy_criteria(monkeypatch)
+        given = []
+
+        def record(kind, seed, overrides):
+            given.extend(overrides)
+            return run_criteria(kind, seed, overrides)
+
+        monkeypatch.setattr(cli, "run_criteria", record)
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(DOCUMENTED)
+        assert cli_main(["suite", "--config", str(cfg), "--p-max", "40", "--tol", "0.5",
+                         "--out", str(tmp_path / "r.txt")]) == 0
+        names = {param for _, values in given for param in values}
+        assert {"p_max", "tol"} <= names and not set(no_rule) & set(_RULES)
+        assert names - set(no_rule) == set(_RULES)
 
     @pytest.mark.parametrize("key, flag, param", [
         ("[grid]\np_max = 50\n", "--p-max", "p_max"),
@@ -477,10 +553,12 @@ class TestCli:
         assert "pass = false" in out.read_text()
 
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
-    def test_unwritable_out_exits_two(self, target, tmp_path, capsys):
-        # the capped grid ends the run fast; the report is written last
+    def test_unwritable_out_exits_two(self, target, tmp_path, monkeypatch, capsys):
+        # the stub criteria end the run fast; the report is written last
+        seen = spy_criteria(monkeypatch)
         out = tmp_path / "missing" / "x.txt" if target == "missing_dir" else tmp_path
-        assert cli_main(["fourier", "--p-max", "0.5", "--out", str(out)]) == 2
+        assert cli_main(["fourier", "--out", str(out)]) == 2
+        assert seen == {"fourier": {}}
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
@@ -507,19 +585,30 @@ class TestCli:
         assert a.read_bytes() != b.read_bytes()
 
     @pytest.mark.parametrize("verb", ["martingale", "fourier"])
-    def test_p_max_caps_every_grid(self, verb, tmp_path):
-        # no valid p-grid lies below 1.1, so the capped grid fails its check
+    def test_p_max_caps_every_grid(self, verb, tmp_path, monkeypatch):
+        # each grid the verb builds ends at the cap, below its own default end
+        from bgl import suite
+
+        caps = []
+        real = suite._grid
+
+        def spy(*args, **kwargs):
+            grid = real(*args, **kwargs)
+            caps.append(grid.points[-1])
+            return grid
+
+        monkeypatch.setattr(suite, "_grid", spy)
         out = tmp_path / "report.txt"
-        assert cli_main([verb, "--p-max", "0.5", "--out", str(out)]) == 1
-        assert "summary.verdict = FAIL" in out.read_text()
+        assert cli_main([verb, "--p-max", "20", "--out", str(out)]) == 0
+        assert caps and caps == [pytest.approx(20.0)] * len(caps)
+        assert "meta.p_max = 20.0\n" in out.read_text()
 
     # the three sizes ask numpy for 7.28 TiB, which fails at once
     @pytest.mark.parametrize("verb,body", [
-        ("martingale", "[martingale]\np = 1\n"),
         ("norm", "[norm]\natoms = 1000000000000\n"),
         ("fourier", "[fourier]\ngrid_points = 1000000000000\n"),
         ("chain", "[family]\ncount = 2\n[grid]\nn = 1000000000000\n"),
-    ], ids=["doob_p_1", "norm_atoms_huge", "grid_points_huge", "grid_n_huge"])
+    ], ids=["norm_atoms_huge", "grid_points_huge", "grid_n_huge"])
     def test_bad_config_value_is_a_failed_record(self, verb, body, tmp_path, capsys):
         # a value a check cannot run on fails that check's record with a
         # one-line error instead of ending the run in a traceback
@@ -541,28 +630,32 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("verb", VERBS)
-    def test_tol_only_where_a_criterion_takes_it(self, verb, tmp_path, capsys):
-        # the capped grid fails every grid check, so an accepted run ends fast
+    def test_tol_only_where_a_criterion_takes_it(self, verb, tmp_path, monkeypatch, capsys):
+        # the stub criteria end an accepted run fast
+        seen = spy_criteria(monkeypatch)
         out = tmp_path / "report.txt"
-        code = cli_main([verb, "--tol", "0.5", "--p-max", "0.5", "--out", str(out)])
+        code = cli_main([verb, "--tol", "0.5", "--out", str(out)])
         if verb in ("chain", "martingale", "suite"):
-            assert code == 1 and out.exists()
+            assert code == 0 and out.exists()
+            assert any(params.get("tol") == 0.5 for params in seen.values())
         else:
             assert code == 2 and not out.exists()
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("verb", VERBS)
-    def test_p_max_only_where_a_criterion_takes_it(self, verb, tmp_path, capsys):
-        # no valid p-grid lies below 1.1, so an accepted run fails its grid checks
+    def test_p_max_only_where_a_criterion_takes_it(self, verb, tmp_path, monkeypatch, capsys):
+        # the stub criteria end an accepted run fast
+        seen = spy_criteria(monkeypatch)
         out = tmp_path / "report.txt"
-        code = cli_main([verb, "--p-max", "0.5", "--out", str(out)])
+        code = cli_main([verb, "--p-max", "50", "--out", str(out)])
         if verb == "entropy":
             assert code == 2 and not out.exists()
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
         else:
-            assert code == 1 and out.exists()
+            assert code == 0 and out.exists()
+            assert any(params.get("p_max") == 50.0 for params in seen.values())
 
     def test_non_finite_family_file_exits_two(self, tmp_path, capsys):
         (tmp_path / "fam.tsv").write_text("# atom_id weight a b\n0 1.0 nan 1.0\n1 1.0 2.0 3.0\n")

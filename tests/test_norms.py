@@ -12,7 +12,7 @@ from bgl.errors import ConstructionError, DomainError, PreconditionError
 from bgl import norms
 from bgl.chaining import abs_sup
 from bgl.entropy import SemiMetric, covering_number
-from bgl.fixtures import make_rng, random_nonneg_family, sqrt_singularity_function
+from bgl.fixtures import make_rng, random_nonneg_family
 from bgl.martingale import norming_log_loglog
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, SimpleFunction, indicator
 from bgl.norms import (
@@ -32,6 +32,14 @@ from bgl.psi import PGrid, constant, doob_factor, from_formula, power, product_p
 
 def unit_space(n, total=1.0):
     return DiscreteMeasureSpace(np.full(n, total / n))
+
+
+def sqrt_singularity_function(n_atoms: int) -> SimpleFunction:
+    """Midpoint discretization of f(x) = x^{-1/2} on (0, 1]: the moment
+    function is (2/(2-p))^{1/p} for p in (1, 2), a closed-form generating
+    function to test against."""
+    x = (np.arange(n_atoms) + 0.5) / n_atoms
+    return SimpleFunction(unit_space(n_atoms), x ** -0.5)
 
 
 class TestLpNorm:
