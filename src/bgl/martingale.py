@@ -1,18 +1,17 @@
 """Martingale ensembles and the dyadic-block maximal bound.
 
-A martingale with independent mean-zero increments is realized exhaustively:
-atoms of the path space are full increment sequences with product weights,
-so every expectation below is an exact finite sum.  The martingale property
-is verified at construction by conditioning on each prefix.
+A martingale with independent mean-zero increments is realized exactly by
+its levels: the atoms of F_k are the base^k increment prefixes, each
+weighing the product of its step probabilities, and S_k is one value per
+atom.  Each atom of level k - 1 splits into base atoms of level k, one per
+next step, so every expectation below is an exact finite sum; the
+martingale property E[S_{k+1} | F_k] = S_k is verified on each level.
 
-An F_n-measurable quantity (S_1..S_n, their running max) is constant on
-each of the base^n prefix blocks of the path space, so its norms are
-taken on those blocks as atoms, each weighing the total of its paths
-(`MartingaleEnsemble.level`).  The member norms |S_k|_p, which Doob's
-right side and the block chain's kappa both read, are taken once per walk
-and exponent set, S_k on the base^k atoms of F_k
-(`MartingaleEnsemble.member_norms`).
-"""
+A maximum over levels (Doob's running max, each block's tau_k, the final
+tau) is lifted level by level onto the next level's atoms.  The member
+norms |S_k|_p, which Doob's right side and the block chain's kappa both
+read, are taken once per walk and exponent set, on F_k's atoms
+(`MartingaleEnsemble.member_norms`)."""
 
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SizeError
-from .measure import DiscreteMeasureSpace, SimpleFunction
+from .measure import DiscreteMeasureSpace
 from .norms import grid_sups, lp_norm_matrix
 from .psi import PGrid, PsiFunction, psi_doob
 
@@ -47,10 +46,10 @@ EXHAUSTIVE_HORIZON_LIMIT = 20
 
 @dataclass(frozen=True)
 class MartingaleEnsemble:
-    """Path-space realization of (S_n, F_n), n = 1..horizon, with S_0 = 0."""
+    """Levels of (S_n, F_n), n = 1..horizon, with S_0 = 0."""
 
-    space: DiscreteMeasureSpace
-    s_values: np.ndarray          # (n_paths, horizon)
+    space: DiscreteMeasureSpace   # the path space: F_horizon's atoms
+    levels: tuple                 # (weights, S_k) on F_k's base^k atoms, k = 1..horizon
     sigma: np.ndarray             # sigma(n) = Var(S_n)^{1/2}, n = 1..horizon
     base: int                     # number of increment values
     # member_norms tables by exponent bytes; the arrays above are read-only,
@@ -63,32 +62,21 @@ class MartingaleEnsemble:
 
     @property
     def horizon(self) -> int:
-        return int(self.s_values.shape[1])
+        return len(self.levels)
+
+    @property
+    def s_values(self) -> np.ndarray:
+        """(paths, horizon) read-only matrix of S_1..S_horizon per path,
+        assembled from the levels on each read."""
+        h = self.horizon
+        s = np.stack([np.repeat(s_k, self.base ** (h - k))
+                      for k, (_, s_k) in enumerate(self.levels, 1)], axis=1)
+        s.flags.writeable = False
+        return s
 
     def _check_n(self, n: int) -> None:
         if not (1 <= n <= self.horizon):
             raise DomainError(f"n={n} outside 1..{self.horizon}")
-
-    def s_at(self, n: int) -> SimpleFunction:
-        self._check_n(n)
-        return SimpleFunction(self.space, self.s_values[:, n - 1])
-
-    def running_abs_max(self, n: int) -> SimpleFunction:
-        self._check_n(n)
-        return SimpleFunction(self.space, np.max(np.abs(self.s_values[:, :n]), axis=1))
-
-    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, S_1..S_n per atom) on the atoms of F_n.
-
-        These are the base^n prefix blocks (paths are ordered
-        most-significant step first, so each block is contiguous); n =
-        horizon returns the path space itself.
-        """
-        self._check_n(n)
-        if n == self.horizon:
-            return self.space.weights, self.s_values[:, :n]
-        return (self.space.weights.reshape(self.base ** n, -1).sum(axis=1),
-                self.s_values[::self.base ** (self.horizon - n), :n])
 
     def member_norms(self, pts: np.ndarray) -> np.ndarray:
         """(horizon, pts.size) read-only table of |S_k|_p, row k - 1 taken
@@ -98,29 +86,21 @@ class MartingaleEnsemble:
         key = pts.tobytes()
         table = self._member_norms.get(key)
         if table is None:
-            levels = (self.level(k) for k in range(1, self.horizon + 1))
-            table = np.concatenate([lp_norm_matrix(s[:, -1][None, :], w, pts)
-                                    for w, s in levels])
+            table = np.concatenate([lp_norm_matrix(s[None, :], w, pts)
+                                    for w, s in self.levels])
             table.flags.writeable = False
             self._member_norms[key] = table
         return table
 
 
-def _verify_martingale(s: np.ndarray, probs: np.ndarray, n_values: int, tol: float = 1e-12):
-    """E[S_{n+1} | first n increments] == S_n, exactly on the product space.
-
-    S_n depends only on the first n digits, so a block representative per
-    prefix suffices; conditioning reduces to one weighted mean per digit.
-    """
-    n_paths, horizon = s.shape
-    base = n_values
-    scale = max(1.0, float(np.max(np.abs(s))))
-    for n in range(horizon - 1):
-        nxt = s[:, n + 1].reshape(base ** (n + 2), -1)[:, 0]
-        cond = (probs[None, :] * nxt.reshape(base ** (n + 1), base)).sum(axis=1)
-        cur = s[:, n].reshape(base ** (n + 1), -1)[:, 0]
-        if np.max(np.abs(cond - cur)) > tol * scale:
-            raise PreconditionError("martingale property fails on the enumerated space")
+def _max_over_levels(ens: MartingaleEnsemble, first: int, last: int,
+                     f: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+    """max_{first <= m <= last} f(m, S_m) on the atoms of F_last: the
+    maximum so far is repeated onto each next level's atoms."""
+    top = f(first, ens.levels[first - 1][1])
+    for m in range(first + 1, last + 1):
+        top = np.maximum(top[:, None], f(m, ens.levels[m - 1][1]).reshape(-1, ens.base)).ravel()
+    return top
 
 
 def build_walk_ensemble(horizon: int, increments=None, probs=None) -> MartingaleEnsemble:
@@ -154,19 +134,22 @@ def build_walk_ensemble(horizon: int, increments=None, probs=None) -> Martingale
     if float(np.dot(probs, increments ** 2)) <= 0.0:
         raise PreconditionError("increment law must have positive variance")
 
-    idx = np.arange(base ** horizon)
-    digits = np.empty((idx.size, horizon), dtype=np.int64)
-    for col in range(horizon):
-        # most-significant digit first keeps prefix blocks contiguous
-        digits[:, col] = (idx // base ** (horizon - 1 - col)) % base
-    weights = np.prod(probs[digits], axis=1)
-    steps = increments[digits]
-    s = np.cumsum(steps, axis=1)
-    _verify_martingale(s, probs, base)
-    sigma = np.sqrt(weights @ (s ** 2) - (weights @ s) ** 2)
-    for arr in (weights, s, sigma):
-        arr.flags.writeable = False
-    return MartingaleEnsemble(space=DiscreteMeasureSpace(weights), s_values=s,
+    # level k: each atom of level k - 1 followed by each step, so the last
+    # step is the fastest-varying digit and prefix blocks stay contiguous
+    levels = []
+    w, s = np.ones(1), np.zeros(1)
+    for _ in range(horizon):
+        w, s = (w[:, None] * probs).ravel(), (s[:, None] + increments).ravel()
+        w.flags.writeable = s.flags.writeable = False
+        levels.append((w, s))
+    scale = max(1.0, max(float(np.max(np.abs(s_k))) for _, s_k in levels))
+    for (_, s_k), (_, s_next) in zip(levels, levels[1:]):
+        cond = s_next.reshape(-1, base) @ probs
+        if np.max(np.abs(cond - s_k)) > 1e-12 * scale:
+            raise PreconditionError("martingale property fails on the enumerated space")
+    sigma = np.sqrt([w_k @ s_k ** 2 - (w_k @ s_k) ** 2 for w_k, s_k in levels])
+    sigma.flags.writeable = False
+    return MartingaleEnsemble(space=DiscreteMeasureSpace(w), levels=tuple(levels),
                               sigma=sigma, base=base)
 
 
@@ -266,14 +249,15 @@ def check_doob_p(p: float) -> None:
 def doob_check(ens: MartingaleEnsemble, p: float, n: int) -> DoobReport:
     """|max_{k<=n} |S_k||_p <= (p/(p-1)) max_{k<=n} |S_k|_p, exactly.
 
-    The running max is F_n-measurable and is evaluated on F_n's atoms in one
-    kernel call; the members are read from the walk's `member_norms` table
-    at p, each S_k on F_k's atoms.
+    The running max is F_n-measurable, lifted onto F_n's atoms and normed
+    there in one kernel call; the members are read from the walk's
+    `member_norms` table at p, each S_k on F_k's atoms.
     """
     check_doob_p(p)
-    weights, s = ens.level(n)
+    ens._check_n(n)
+    running = _max_over_levels(ens, 1, n, lambda m, s: np.abs(s))
     ps = np.array([p], dtype=float)
-    lhs = float(lp_norm_matrix(np.abs(s).max(axis=1)[None, :], weights, ps)[0, 0])
+    lhs = float(lp_norm_matrix(running[None, :], ens.levels[n - 1][0], ps)[0, 0])
     member = float(ens.member_norms(ps)[:n, 0].max())
     return DoobReport(p=p, n=n, max_norm=lhs, member_norm_max=member,
                       ratio=lhs / member, cap=p / (p - 1.0))
@@ -346,9 +330,8 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
         a = 2 ** (k - 1)
         b = min(2 ** k - 1, horizon)
         # tau_k is F_b-measurable
-        w_b, s_b = ens.level(b)
-        tau_k = np.max(np.abs(s_b[:, a - 1:]) / (sig * vv)[None, a - 1:b], axis=1)
-        lhs = lp_norm_matrix(tau_k[None, :], w_b, pts)[0]
+        tau_k = _max_over_levels(ens, a, b, lambda m, s: np.abs(s) / (sig[m - 1] * vv[m - 1]))
+        lhs = lp_norm_matrix(tau_k[None, :], ens.levels[b - 1][0], pts)[0]
         doob_rhs = (pts / (pts - 1.0)) * norm_matrix[b - 1] / (vv[a - 1] * sig[a - 1])
         doob_margin = float(np.min(doob_rhs - lhs))
         moment_margin = float(np.min(kappa * psi_vals * sig[b - 1] - norm_matrix[b - 1]))
@@ -361,7 +344,7 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
                                   moment_margin=moment_margin, factor=factor))
         k += 1
 
-    tau = np.max(ens.s_values / (sig * vv)[None, :], axis=1)
+    tau = _max_over_levels(ens, 1, horizon, lambda m, s: s / (sig[m - 1] * vv[m - 1]))
     tau_norm = float(grid_sups([tau[None, :]], ens.space.weights, pts,
                                psi_doob(psi).eval(pts))[0][0])
     rhs = kappa * factor_sum

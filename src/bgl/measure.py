@@ -39,9 +39,10 @@ class DiscreteMeasureSpace:
             raise DomainError("weights must be a nonempty 1-d array")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise DomainError("atom weights must be finite and strictly positive")
-        ids = np.arange(w.size) if self.atom_ids is None else np.asarray(self.atom_ids)
+        default = self.atom_ids is None  # an arange, unique by construction
+        ids = np.arange(w.size) if default else np.asarray(self.atom_ids)
         object.__setattr__(self, "atom_ids", ids)
-        if ids.size != w.size or np.unique(ids).size != ids.size:
+        if not default and (ids.size != w.size or np.unique(ids).size != ids.size):
             raise DomainError("atom_ids must be unique and match the weight count")
 
     @property

@@ -79,7 +79,8 @@ def lp_norm_matrix(values: np.ndarray, weights: np.ndarray, ps: np.ndarray) -> n
     with the weights, so it depends only on its row and its p: any subset of
     rows or of ``ps``, and any `lp_norm_cells` gather, gets bit-identical
     norms.  Rows are walked in chunks whose power tensor stays under
-    ``_KERNEL_BYTES`` (one row at least).  Raises DomainError for p < 1 and
+    ``_KERNEL_BYTES``; a row wider than that is walked in exponent chunks
+    (one cell at least).  Raises DomainError for p < 1 and
     for a row holding NaN or inf, which the row max (NaN propagates through
     it) already exposes.
     """
@@ -87,10 +88,13 @@ def lp_norm_matrix(values: np.ndarray, weights: np.ndarray, ps: np.ndarray) -> n
     av = np.abs(np.ascontiguousarray(values, dtype=float))
     w = np.asarray(weights, dtype=float)
     out = np.empty((av.shape[0], ps.size))
-    step = max(1, _KERNEL_BYTES // (8 * max(1, ps.size * av.shape[1])))
+    cells = max(1, _KERNEL_BYTES // (8 * max(1, av.shape[1])))
+    step, cols = max(1, cells // max(1, ps.size)), max(1, min(cells, ps.size))
     for lo in range(0, av.shape[0], step):
         m, ratios = _scaled(av[lo:lo + step])
-        out[lo:lo + step] = _norms(m, ratios[:, None, :], w, ps[None, :])
+        for c in range(0, ps.size, cols):
+            out[lo:lo + step, c:c + cols] = _norms(m, ratios[:, None, :], w,
+                                                   ps[None, c:c + cols])
     return out
 
 

@@ -211,7 +211,12 @@ def _overrides(sections: dict, kind: str, base: Path) -> tuple:
         # the family is built here, so its size meets the members rule first
         members = _value(sections, "family", "members", int, 12)
         check_value("[family] members", "members", members)
-        put("family", "generator", family=disjoint_indicator_family(members))
+        try:
+            family = disjoint_indicator_family(members)
+        except MemoryError:
+            raise DomainError(f"[family] members = {members}: "
+                              f"a {members} x {members} family does not fit in memory") from None
+        put("family", "generator", family=family)
     elif generator == "file":
         put("family", "generator", family=_family_file(sections, base))
     else:

@@ -106,18 +106,47 @@ def test_criterion_12_suite_determinism(suite_report, tmp_path):
     assert first == second
 
 
+def _python(*args, threads=1) -> bytes:
+    """stdout of a fresh interpreter on this checkout's bgl, run from the
+    repository root with ``threads`` BLAS threads."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          timeout=300, check=True)
+    return done.stdout
+
+
 def test_bytes_do_not_depend_on_blas_thread_count():
     # OpenBLAS splits a long dot product across threads; the kernel's
     # fixed-size blocks keep every cell's bits the same at any thread count
-    def run(threads, *args):
-        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
-        done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
-                              timeout=300, check=True)
-        return done.stdout
-
     for args in (("-c", KERNEL_HASH), ("-m", "bgl.cli", "martingale", "--seed", "7")):
-        assert run(1, *args) == run(2, *args)
+        assert _python(*args, threads=1) == _python(*args, threads=2)
+
+
+def test_cli_loads_no_scipy():
+    # scipy is a test-only dependency
+    code = "import sys, bgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _python("-c", code) == b"[]\n"
+
+
+# peak RSS of `bgl martingale` at the config cap, horizon 20 (2^20 paths)
+WALK20_BUDGET_MIB = 150
+
+# runs its argv as a child and prints that child's peak RSS in KiB; a fresh
+# parent sees no other child, whatever this test process ran before
+PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_walk_at_horizon_cap_stays_in_memory_budget(tmp_path):
+    cfg = tmp_path / "walk20.cfg"
+    cfg.write_text("[scenario]\nkind = martingale\n[martingale]\nhorizon = 20\n")
+    kib = int(_python("-c", PEAK_RSS, sys.executable, "-m", "bgl.cli", "martingale",
+                      "--config", str(cfg)))
+    assert kib < WALK20_BUDGET_MIB * 1024, f"{kib / 1024:.0f} MiB"
 
 
 @pytest.mark.parametrize("verb", ["norm", "entropy", "martingale", "fourier"])

@@ -31,9 +31,6 @@ TEST_ONLY = {
     "psi.check_log_convex": "check without a suite verdict yet",
     "psi.psi_kappa12": "weight without a suite verdict yet",
     "measure.save_family": "writer of the file format load_family reads",
-    # reference implementations that tests compare faster code against
-    "martingale.MartingaleEnsemble.s_at": "full-path reference for the level tests",
-    "martingale.MartingaleEnsemble.running_abs_max": "full-path reference for the level tests",
 }
 
 

@@ -252,6 +252,10 @@ class TestScenarioConfig:
                              "[fourier] samples = -1: must be at least 0"),
         "members_0": ("chain", "[family]\ngenerator = disjoint_indicators\nmembers = 0\n", (),
                       "[family] members = 0: must be at least 1"),
+        # np.eye asks numpy for 7.28 TiB, which fails at once
+        "members_huge": ("chain", "[family]\ngenerator = disjoint_indicators\nmembers = 1000000\n",
+                         (), "[family] members = 1000000: "
+                             "a 1000000 x 1000000 family does not fit in memory"),
         "random_members_0": ("chain", "[family]\nmembers = 0\n", (),
                              "[family] members = 0: must be at least 1"),
         "random_members_negative": ("chain", "[family]\nmembers = -3\n", (),

@@ -29,6 +29,27 @@ LAWS = {
     "horizon_one": (1, [-2.0, 1.0], [1.0 / 3.0, 2.0 / 3.0]),
 }
 
+# the laws above put non-dyadic weights on the levels: against the digits
+# enumeration, S_k is exact, and a level weight (against its summed path
+# weights), sigma and a scaled value S_m / (sigma(m) v(m)) move by at most
+# 2 eps (4.4e-16) relative; this bounds them at twice that
+LEVEL_RTOL = 4 * np.finfo(float).eps
+PM1_14 = (14, [-1.0, 1.0], [0.5, 0.5])
+
+
+def _digits_walk(horizon, increments, probs):
+    """(path weights, S_1..S_horizon per path, sigma) over every increment
+    sequence, most-significant step first: the full-path reference."""
+    increments = np.asarray(increments, dtype=float)
+    base = increments.size
+    probs = np.full(base, 1.0 / base) if probs is None else np.asarray(probs, dtype=float)
+    idx = np.arange(base ** horizon)
+    digits = np.stack([(idx // base ** (horizon - 1 - col)) % base
+                       for col in range(horizon)], axis=1)
+    weights = np.prod(probs[digits], axis=1)
+    s = np.cumsum(increments[digits], axis=1)
+    return weights, s, np.sqrt(weights @ (s ** 2) - (weights @ s) ** 2)
+
 
 def _mp_lp(counts: dict, total: int, p) -> mpmath.mpf:
     """(sum_v counts[v] / total * v^p)^(1/p) for integer values v >= 0."""
@@ -112,17 +133,10 @@ class TestEnsemble:
         # the member norm table is kept on the ensemble, so its inputs and
         # the table itself must not change under it
         ens = build_walk_ensemble(4)
-        for arr in (ens.s_values, ens.sigma, ens.space.weights, ens.level(2)[1],
+        for arr in (ens.s_values, ens.sigma, ens.space.weights, *ens.levels[1],
                     ens.member_norms(np.array([2.0]))):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-
-    @pytest.mark.parametrize("method", ["s_at", "running_abs_max", "level"])
-    @pytest.mark.parametrize("n", [0, 5, -1])
-    def test_n_outside_horizon_rejected(self, method, n):
-        ens = build_walk_ensemble(4)
-        with pytest.raises(DomainError, match=rf"^n={n} outside 1\.\.4$"):
-            getattr(ens, method)(n)
 
 
 class TestDoob:
@@ -145,7 +159,9 @@ class TestDoob:
 
     def test_max_norm_monotone_in_n(self):
         ens = build_walk_ensemble(8)
-        norms = [lp_norm(ens.running_abs_max(n), 3.0) for n in range(1, 9)]
+        s = np.abs(ens.s_values)
+        norms = [lp_norm(SimpleFunction(ens.space, s[:, :n].max(axis=1)), 3.0)
+                 for n in range(1, 9)]
         assert all(b >= a for a, b in zip(norms, norms[1:]))
 
 
@@ -184,33 +200,70 @@ class TestDoobExactLaw:
 
 
 class TestLevels:
+    @pytest.mark.parametrize("law", ["pm1_14", *sorted(LAWS)])
+    def test_levels_match_digits_enumeration(self, law):
+        # +-1 steps are exact in binary: every value is bit-identical
+        horizon, increments, probs = LAWS.get(law, PM1_14)
+        ens = build_walk_ensemble(horizon, increments=increments, probs=probs)
+        weights, s, sigma = _digits_walk(horizon, increments, probs)
+        rtol = 0.0 if law == "pm1_14" else LEVEL_RTOL
+        assert np.array_equal(ens.s_values, s)
+        np.testing.assert_allclose(ens.space.weights, weights, rtol=rtol, atol=0)
+        np.testing.assert_allclose(ens.sigma, sigma, rtol=rtol, atol=0)
+        for k, (w_k, s_k) in enumerate(ens.levels, 1):
+            assert w_k.size == s_k.size == ens.base ** k
+            assert np.array_equal(s_k, s[::ens.base ** (horizon - k), k - 1])
+            np.testing.assert_allclose(w_k, weights.reshape(ens.base ** k, -1).sum(axis=1),
+                                       rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("law", ["pm1_14", *sorted(LAWS)])
+    def test_lifted_maxima_match_digits_enumeration(self, law):
+        # Doob's running max on F_n, each block's tau_k on F_b and the final
+        # signed tau on the paths, lifted level by level
+        horizon, increments, probs = LAWS.get(law, PM1_14)
+        ens = build_walk_ensemble(horizon, increments=increments, probs=probs)
+        _, s, sigma = _digits_walk(horizon, increments, probs)
+        rtol = 0.0 if law == "pm1_14" else LEVEL_RTOL
+        lift = martingale._max_over_levels
+
+        def on_level(n, values):  # a full-path array of F_n-measurable values, on F_n
+            return values[::ens.base ** (horizon - n)]
+
+        for n in range(1, horizon + 1):
+            running = lift(ens, 1, n, lambda m, s_m: np.abs(s_m))
+            assert np.array_equal(running, on_level(n, np.abs(s[:, :n]).max(axis=1)))
+        for v in (norming_identity(), norming_log_loglog(1.0)):
+            vv = v(np.arange(1.0, horizon + 1))
+            want, scale = s / (sigma * vv), ens.sigma * vv
+            for a in (2 ** j for j in range(horizon.bit_length())):
+                b = min(2 * a - 1, horizon)
+                tau_k = lift(ens, a, b, lambda m, s_m: np.abs(s_m) / scale[m - 1])
+                np.testing.assert_allclose(
+                    tau_k, on_level(b, np.abs(want[:, a - 1:b]).max(axis=1)), rtol=rtol, atol=0)
+            tau = lift(ens, 1, horizon, lambda m, s_m: s_m / scale[m - 1])
+            np.testing.assert_allclose(tau, want.max(axis=1), rtol=rtol, atol=0)
+
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_level_norms_match_full_space(self, law):
         horizon, increments, probs = LAWS[law]
         ens = build_walk_ensemble(horizon, increments=increments, probs=probs)
         ps = np.array([1.0, 1.5, 3.0, 11.0])
-        for n in range(1, horizon + 1):
-            weights, s = ens.level(n)
-            assert weights.size == s.shape[0] == ens.base ** n
-            assert s.shape[1] == n
+        for (weights, s_n), full in zip(ens.levels, ens.s_values.T):
             assert math.isclose(weights.sum(), 1.0, rel_tol=1e-13)
-            space = DiscreteMeasureSpace(weights)
-            got = lp_norm(SimpleFunction(space, np.abs(s).max(axis=1)), ps)
-            full = lp_norm(ens.running_abs_max(n), ps)
-            np.testing.assert_allclose(got, full, rtol=1e-13, atol=0)
-            for k in range(1, n + 1):
-                got = lp_norm(SimpleFunction(space, s[:, k - 1]), ps)
-                np.testing.assert_allclose(got, lp_norm(ens.s_at(k), ps), rtol=1e-13, atol=0)
+            got = lp_norm(SimpleFunction(DiscreteMeasureSpace(weights), s_n), ps)
+            want = lp_norm(SimpleFunction(ens.space, full), ps)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_doob_on_levels_matches_full_space(self, law):
         horizon, increments, probs = LAWS[law]
         ens = build_walk_ensemble(horizon, increments=increments, probs=probs)
+        s = ens.s_values
         for p in (1.25, 2.0, 4.0):
             for n in range(1, horizon + 1):
                 rep = doob_check(ens, p, n)
-                lhs = lp_norm(ens.running_abs_max(n), p)
-                member = max(lp_norm(ens.s_at(k), p) for k in range(1, n + 1))
+                lhs = lp_norm(SimpleFunction(ens.space, np.abs(s[:, :n]).max(axis=1)), p)
+                member = max(lp_norm(SimpleFunction(ens.space, s[:, k]), p) for k in range(n))
                 assert rep.max_norm == pytest.approx(lhs, rel=1e-13, abs=0)
                 assert rep.member_norm_max == pytest.approx(member, rel=1e-13, abs=0)
 
@@ -222,7 +275,7 @@ class TestLevels:
         psi, v = power(0.5), norming_identity()
         rep = martingale_block_check(ens, psi, v, GRID)
         pts, psi_vals = GRID.points, psi.eval(GRID.points)
-        norms = np.stack([lp_norm(ens.s_at(n), pts) for n in range(1, horizon + 1)])
+        norms = np.stack([lp_norm(SimpleFunction(ens.space, s_n), pts) for s_n in ens.s_values.T])
         kappa = float(np.max(norms / ens.sigma[:, None] / psi_vals[None, :]))
         assert rep.kappa_psi == pytest.approx(kappa, rel=1e-13, abs=0)
         scaled = np.abs(ens.s_values) / (ens.sigma * v(np.arange(1.0, horizon + 1)))[None, :]
@@ -238,16 +291,14 @@ class TestLevels:
 
     def test_last_level_is_the_full_space(self):
         ens = build_walk_ensemble(5, increments=[-1.0, 0.0, 1.0])
-        weights, s = ens.level(5)
+        weights, s = ens.levels[-1]
         assert weights is ens.space.weights
-        assert np.array_equal(s, ens.s_values)
+        assert np.array_equal(s, ens.s_values[:, -1])
 
     @pytest.mark.parametrize("n", [0, -1, 7])
     def test_n_outside_horizon_rejected(self, n):
         ens = build_walk_ensemble(6)
-        with pytest.raises(DomainError):
-            ens.level(n)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^n={n} outside 1\.\.6$"):
             doob_check(ens, 2.0, n)
 
 

@@ -235,12 +235,21 @@ class TestKernelChunks:
         assert np.array_equal(lp_norm_matrix(np.asfortranarray(big[::2, ::2]), w, ps), want)
 
     def test_row_larger_than_budget(self):
+        # a row wider than the budget walks its exponents in chunks, so the
+        # call stays near the budget and every cell keeps its own bits
         ps = np.geomspace(1.0, 200.0, 48)
         rng = make_rng(32)
         n = 65_536
-        assert 8 * ps.size * n > norms._KERNEL_BYTES
+        assert 8 * ps.size * n > 2 * norms._KERNEL_BYTES
         v, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 1.5, n) / n
-        got = lp_norm_matrix(v[None, :], w, ps)[0]
+        tracemalloc.start()
+        try:
+            got = lp_norm_matrix(v[None, :], w, ps)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * norms._KERNEL_BYTES, peak
+        assert all(lp_norm_matrix(v[None, :], w, ps[j:j + 1])[0, 0] == got[j] for j in (0, 17, 47))
         top = np.abs(v).max()
         ref = top * np.array([np.dot(w, (np.abs(v) / top) ** p) ** (1.0 / p) for p in ps])
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
