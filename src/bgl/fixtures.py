@@ -32,14 +32,14 @@ def random_nonneg_family(rng: np.random.Generator, m: int, n_atoms: int = 48) ->
     """m nonnegative members with O(1) values and O(1) mutual distances, on
     atom weights of total mass about 1 bounded away from zero."""
     space = DiscreteMeasureSpace(rng.uniform(0.5, 1.5, size=n_atoms) / n_atoms)
-    return FunctionFamily.from_values(space, rng.uniform(0.0, 1.0, size=(m, n_atoms)))
+    return FunctionFamily(space, rng.uniform(0.0, 1.0, size=(m, n_atoms)))
 
 
 def disjoint_indicator_family(m: int) -> FunctionFamily:
     """m indicators of disjoint unit-weight atoms, each of unit L_p norm: the
     equality case of the finite maximal inequality."""
     space = DiscreteMeasureSpace(np.ones(m))
-    return FunctionFamily.from_values(space, np.eye(m))
+    return FunctionFamily(space, np.eye(m))
 
 
 def random_plane_metric(rng: np.random.Generator, m: int, grid_snap: int = 64) -> SemiMetric:

@@ -1,10 +1,11 @@
 """Fourier partial sums and the maximal partial-sum operator on [-pi, pi].
 
 Functions are sampled on the uniform K-point grid x_j = -pi + 2 pi j / K with
-Lebesgue weights 2 pi / K; coefficients c(n) = int exp(inx) f(x) dx come from
-the trapezoid rule, exact on trigonometric polynomials of degree <= K/4.  The
-maximal operator sup_M |s_M| is not computable; it is approximated by running
-maxima over M <= M_max with a saturation check across increasing M_max.
+Lebesgue weights 2 pi / K, both fixed by K: a sample is its K values.
+Coefficients c(n) = int exp(inx) f(x) dx come from the trapezoid rule, exact
+on trigonometric polynomials of degree <= K/4.  The maximal operator sup_M
+|s_M| is not computable; it is approximated by running maxima over M <= M_max
+with a saturation check across increasing M_max.
 
 Every phase on the grid is a K-th root of unity, exp(inx_j) = w^(n (j + K/2)
 mod K) with w = exp(2 pi i / K): the coefficients are one real FFT and the
@@ -37,30 +38,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FourierSample:
-    """f sampled on the uniform grid x_j = -pi + 2 pi j / K, j = 0..K-1."""
+    """f sampled on the uniform grid x_j = -pi + 2 pi j / K, j = 0..K-1: its K
+    values alone.  K fixes the grid ``x`` and the atoms of weight 2 pi / K
+    (``space``), both built on each access."""
 
-    x: np.ndarray
     values: np.ndarray
-    space: DiscreteMeasureSpace
 
     def __post_init__(self):
-        k = self.x.size
-        check_grid_size(k)
-        if self.values.shape != self.x.shape:
-            raise DomainError("values must match the grid")
-        if not np.array_equal(self.x, _uniform_grid(k)):
-            raise DomainError("x must be the uniform grid -pi + 2 pi j / K")
-        if not np.array_equal(self.space.weights, np.full(k, 2.0 * math.pi / k)):
-            raise DomainError("weights must all be 2 pi / K")
+        if self.values.ndim != 1:
+            raise DomainError("sample values must be a 1-d array")
+        check_grid_size(self.values.size)
         if not (np.isrealobj(self.values) and np.all(np.isfinite(self.values))):
             raise DomainError("sample values must be real and finite")
 
     @property
-    def k_points(self) -> int:
-        return int(self.x.size)
+    def x(self) -> np.ndarray:
+        return _uniform_grid(self.values.size)
 
-    def as_function(self) -> SimpleFunction:
-        return SimpleFunction(self.space, self.values)
+    @property
+    def space(self) -> DiscreteMeasureSpace:
+        return DiscreteMeasureSpace(np.full(self.values.size, 2.0 * math.pi / self.values.size))
 
 
 def check_grid_size(k: int) -> None:
@@ -74,10 +71,7 @@ def _uniform_grid(k: int) -> np.ndarray:
 
 
 def sample_function(fn, k: int = 1024) -> FourierSample:
-    x = _uniform_grid(k)
-    values = np.asarray(fn(x), dtype=float)
-    space = DiscreteMeasureSpace(np.full(k, 2.0 * math.pi / k))
-    return FourierSample(x=x, values=values, space=space)
+    return FourierSample(np.asarray(fn(_uniform_grid(k)), dtype=float))
 
 
 def square_wave_sample(k: int = 1024) -> FourierSample:
@@ -104,7 +98,7 @@ def fourier_coefficients(sample: FourierSample, m: int) -> np.ndarray:
     """c(n) = int_{-pi}^{pi} exp(inx) f(x) dx for n = -m..m at index n + m; the
     trapezoid rule is one real FFT, c(n) = (2 pi / K) (-1)^n conj(rfft(f)[n]), and
     c(-n) = conj(c(n)).  m <= K/4 keeps it alias-free on the functions of interest."""
-    k = sample.k_points
+    k = sample.values.size
     if not 0 <= m <= k // 4:
         raise DomainError(f"m={m} outside 0..K/4 for K={k}; need m <= K/4 to avoid aliasing")
     half = np.conj(np.fft.rfft(sample.values)[:m + 1]) * (2.0 * math.pi / k)
@@ -115,7 +109,7 @@ def fourier_coefficients(sample: FourierSample, m: int) -> np.ndarray:
 def _partial_sums(sample: FourierSample, m_top: int):
     """s_0, s_1, .., s_{m_top} on the grid: s_n adds Re(conj(c(n)) exp(inx_j)) / pi
     to s_{n-1}, and exp(inx_j) is root n (j + K/2) mod K of a K-entry table."""
-    k = sample.k_points
+    k = sample.values.size
     c = fourier_coefficients(sample, m_top)[m_top:]  # c(0..m_top)
     # exp(2 pi i r / K), r = 0..K-1, computed in long double and rounded once
     roots = np.exp(np.arange(k) * (8j * np.arctan(np.longdouble(1)) / k)).astype(complex)
@@ -133,12 +127,12 @@ def maximal_partial_sums(sample: FourierSample, m_list) -> dict:
     wanted = {int(m) for m in m_list}
     if not wanted or min(wanted) < 1:
         raise DomainError(f"M list {sorted(wanted)} needs at least one M, each >= 1")
-    running, out = np.zeros(sample.k_points), {}
+    space, running, out = sample.space, np.zeros(sample.values.size), {}
     for m, s in enumerate(_partial_sums(sample, max(wanted))):
         if m:
             np.maximum(running, np.abs(s), out=running)
         if m in wanted:
-            out[m] = SimpleFunction(sample.space, running.copy())
+            out[m] = SimpleFunction(space, running.copy())
     return out
 
 
@@ -162,11 +156,11 @@ def maximal_ratio_check(sample: FourierSample, psi: PsiFunction, grid: PGrid,
     pts = psi.check_support(grid.points)  # p > a >= 1: the weight is finite
     maxima = maximal_partial_sums(sample, m_list)
     m_list = sorted(maxima)  # the distinct M, as ints
-    f = sample.as_function()
+    f = SimpleFunction(sample.space, sample.values)
     weight = pts ** 4 / (pts - 1.0) ** 2
     # row 0 is f, row 1 + j the running maximum at m_list[j]
     norms = lp_norm_matrix(np.stack([f.values] + [maxima[m].values for m in m_list]),
-                           sample.space.weights, pts)
+                           f.space.weights, pts)
     rho = norms[1:] / (weight * norms[0])  # rho[j, i] = rho(pts[i], m_list[j])
     # growth test: at every p the final value must not escape the earlier plateau
     ok = len(m_list) < 2 or bool(np.all(rho[-1] <= 1.05 * rho[:-1].max(axis=0)))

@@ -103,24 +103,20 @@ def _max_over_levels(ens: MartingaleEnsemble, first: int, last: int,
     return top
 
 
-def build_walk_ensemble(horizon: int, increments=None, probs=None) -> MartingaleEnsemble:
+def build_walk_ensemble(horizon: int, increments=(-1.0, 1.0), probs=None) -> MartingaleEnsemble:
     """Random walk S_n = sum of i.i.d. mean-zero increments, n = 1..horizon.
 
     Default law is the symmetric +-1 step.  Enumeration needs len(increments)^horizon <= 2^20.
     """
     if horizon < 1:
         raise DomainError(f"horizon = {horizon} must be at least 1")
-    if increments is None:
-        increments = np.array([-1.0, 1.0])
-        probs = np.array([0.5, 0.5])
-    else:
-        increments = np.asarray(increments, dtype=float)
-        if increments.ndim != 1 or increments.size == 0 or not np.isfinite(increments).all():
-            raise DomainError("increments must be a nonempty 1-d array of finite values")
-        probs = (np.full(increments.size, 1.0 / increments.size)
-                 if probs is None else np.asarray(probs, dtype=float))
-        if probs.shape != increments.shape:
-            raise DomainError(f"probs has shape {probs.shape}, increments {increments.shape}")
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 1 or increments.size == 0 or not np.isfinite(increments).all():
+        raise DomainError("increments must be a nonempty 1-d array of finite values")
+    probs = (np.full(increments.size, 1.0 / increments.size)
+             if probs is None else np.asarray(probs, dtype=float))
+    if probs.shape != increments.shape:
+        raise DomainError(f"probs has shape {probs.shape}, increments {increments.shape}")
     base = increments.size
     limit = EXHAUSTIVE_HORIZON_LIMIT
     while base ** limit > 2 ** EXHAUSTIVE_HORIZON_LIMIT:

@@ -2,9 +2,10 @@
 
 Everything is finite and immutable: a measure space is an array of strictly
 positive atom weights, a function is an array of values on those atoms, and
-a family is one value matrix, a row per member, on one space.  Infinite
-total mass is represented only through truncation sequences carrying a
-flag; no operation depends on exact diffuseness.
+a family is one value matrix, a row per member, on one space; atoms and
+members are known by position alone.  Infinite total mass is represented
+only through truncation sequences carrying a flag; no operation depends on
+exact diffuseness.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class DiscreteMeasureSpace:
     """Finite list of atoms with strictly positive weights."""
 
     weights: np.ndarray
-    atom_ids: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -39,11 +39,6 @@ class DiscreteMeasureSpace:
             raise DomainError("weights must be a nonempty 1-d array")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise DomainError("atom weights must be finite and strictly positive")
-        default = self.atom_ids is None  # an arange, unique by construction
-        ids = np.arange(w.size) if default else np.asarray(self.atom_ids)
-        object.__setattr__(self, "atom_ids", ids)
-        if not default and (ids.size != w.size or np.unique(ids).size != ids.size):
-            raise DomainError("atom_ids must be unique and match the weight count")
 
     @property
     def n_atoms(self) -> int:
@@ -84,13 +79,12 @@ class FunctionFamily:
     """Finite indexed family {Y(t, .)} on one shared measure space, stored as
     one read-only (m, n_atoms) value matrix: row t holds Y(t, .).
 
-    Build it with `from_values`; the matrix is validated once (2-d, one
-    column per atom, finite) and copied, so later mutation of the caller's
-    array cannot reach it.  Everything derived from a family reads the
-    matrix; `members` builds `SimpleFunction` views only on request.
+    The matrix is validated once (2-d, one column per atom, finite) and
+    copied, so later mutation of the caller's array cannot reach it.
+    Everything derived from a family reads the matrix; `members` builds
+    `SimpleFunction` views only on request.
     """
 
-    labels: tuple | None
     space: DiscreteMeasureSpace
     values: np.ndarray
 
@@ -106,18 +100,8 @@ class FunctionFamily:
             )
         if not np.all(np.isfinite(v)):
             raise DomainError("function values must be finite (no NaN or inf)")
-        labels = (tuple(f"t{i}" for i in range(v.shape[0])) if self.labels is None
-                  else tuple(self.labels))
-        if len(labels) != v.shape[0]:
-            raise DomainError("labels and members must match")
         v.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", v)
-
-    @staticmethod
-    def from_values(space: DiscreteMeasureSpace, matrix, labels=None) -> "FunctionFamily":
-        """Family with rows of ``matrix`` as members, labelled t0, t1, ... by default."""
-        return FunctionFamily(labels, space, matrix)
 
     @property
     def members(self) -> tuple:
@@ -135,13 +119,11 @@ class FunctionFamily:
 
 
 def save_family(path, family: FunctionFamily):
-    space = family.space
-    mat = family.values
+    """Write atom ids 0, 1, ... and member labels t0, t1, ... with the data."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# atom_id weight " + " ".join(str(l) for l in family.labels) + "\n")
-        for i in range(space.n_atoms):
-            cols = [str(space.atom_ids[i]), repr(float(space.weights[i]))]
-            cols += [repr(float(v)) for v in mat[:, i]]
+        fh.write("# atom_id weight " + " ".join(f"t{i}" for i in range(family.m)) + "\n")
+        for i, w in enumerate(family.space.weights):
+            cols = [str(i), repr(float(w))] + [repr(float(v)) for v in family.values[:, i]]
             fh.write(" ".join(cols) + "\n")
 
 
@@ -167,8 +149,9 @@ def load_family(path) -> FunctionFamily:
         raise DomainError("missing header line naming the family indices")
     if not rows:
         raise DomainError("no atom lines found")
+    if len(set(ids)) != len(ids):
+        raise DomainError("atom ids must be unique")
     values = np.asarray(rows, dtype=float).T
     if values.shape[0] != len(labels):
         raise DomainError("value columns do not match the header labels")
-    space = DiscreteMeasureSpace(np.asarray(weights), atom_ids=np.asarray(ids))
-    return FunctionFamily.from_values(space, values, labels=labels)
+    return FunctionFamily(DiscreteMeasureSpace(np.asarray(weights)), values)

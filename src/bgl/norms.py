@@ -182,11 +182,9 @@ def _norms(m: np.ndarray, ratios: np.ndarray, w: np.ndarray, ps: np.ndarray) -> 
     powers = np.power(ratios, ps[..., None])
     if squared:
         np.multiply(ratios, ratios, out=powers, where=two[..., None])
-    if w.size <= _DOT_BLOCK:
-        sums = np.vecdot(powers, w)
-    else:
-        sums = sum(np.vecdot(powers[..., lo:lo + _DOT_BLOCK], w[lo:lo + _DOT_BLOCK])
-                   for lo in range(0, w.size, _DOT_BLOCK))
+    sums = np.vecdot(powers[..., :_DOT_BLOCK], w[:_DOT_BLOCK])
+    for lo in range(_DOT_BLOCK, w.size, _DOT_BLOCK):
+        sums += np.vecdot(powers[..., lo:lo + _DOT_BLOCK], w[lo:lo + _DOT_BLOCK])
     roots = sums ** (1.0 / ps)
     if squared:
         np.sqrt(sums, out=roots, where=two)
@@ -212,10 +210,13 @@ def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid) -> NormResult:
     j = int(np.argmax(ratios))
     best_p, best_v = float(pts[j]), float(ratios[j])
     # rescan the bracket around the argmax, 33 points per kernel call,
-    # narrowing to the neighbours of each round's argmax until 1e-6 wide
+    # narrowing to the neighbours of each round's argmax until 1e-6 wide, or
+    # no narrower: near p = 1e10 adjacent doubles lie 1.9e-6 apart
     lo = float(pts[max(j - 1, 0)])
     hi = float(pts[min(j + 1, pts.size - 1)])
-    while hi - lo > 1e-6:
+    width = math.inf
+    while width > hi - lo > 1e-6:
+        width = hi - lo
         xs = np.linspace(lo, hi, 33)
         vals = lp_norm(f, xs) / psi.eval(xs)
         k = int(np.argmax(vals))
@@ -247,7 +248,10 @@ def fundamental_function(psi: PsiFunction, delta: float, grid: PGrid,
     d = a + _INVPHI * (b - a)
     h = lambda p: delta ** (1.0 / p) / float(psi.eval(p))
     fc, fd = h(c), h(d)
-    while (b - a) > 1e-6:
+    # until 1e-6 wide, or no narrower: near p = 1e10 doubles lie 1.9e-6 apart
+    width = math.inf
+    while width > b - a > 1e-6:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

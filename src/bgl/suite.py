@@ -51,7 +51,7 @@ from .martingale import (
 )
 from .measure import DiscreteMeasureSpace, SimpleFunction
 from .norms import fatou_check, indicator_norm_check, natural_psi
-from .psi import PGrid, constant, doob_factor, power
+from .psi import PGrid, PsiFunction, constant, doob_factor, power
 from .report import Record, Report
 
 __all__ = ["run_suite", "run_criteria", "CRITERIA", "VERBS", "NATURAL"]
@@ -132,8 +132,7 @@ def criterion_pisier(seed: int, *, count: int = 200, members: tuple = (2, 33),
              for r in (pisier_bound(disjoint_indicator_family(m), p)
                        for m in [4, 16, 32] for p in ps))
     ok = margins.passed and eq <= 1e-10
-    return Record("pisier_domination_and_sharpness", ok,
-                  fields=margins.fields(seed, equality_gap=eq))
+    return Record(_RECORDS["pisier"], ok, fields=margins.fields(seed, equality_gap=eq))
 
 
 # --- 2. product-space version with the fundamental function -----------------
@@ -153,8 +152,7 @@ def criterion_generalized_pisier(seed: int, p_max: float = 200.0, *, count: int 
             psi, nu = _resolve(psi, fam, grid), _resolve(nu, fam, grid)
             r = generalized_pisier_bound(fam, psi, nu, grid)
             margins.add(r.bound, r.exact, family_index=idx, psi=psi.label, nu=nu.label)
-    return Record("generalized_pisier_domination", margins.passed,
-                  fields=margins.fields(seed))
+    return Record(_RECORDS["generalized_pisier"], margins.passed, fields=margins.fields(seed))
 
 
 # --- 3. chaining bound in the grand Lebesgue scale --------------------------
@@ -179,8 +177,7 @@ def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
             for theta, rep in zip(thetas, reports):
                 margins.add(rep.bound_value, rep.exact_sup_norm,
                             family_index=idx, theta=theta, nu=nu.label)
-    return Record("chained_product_bound_domination", margins.passed,
-                  fields=margins.fields(seed))
+    return Record(_RECORDS["chained_bound"], margins.passed, fields=margins.fields(seed))
 
 
 # --- 4. fundamental function against a measure-space indicator --------------
@@ -202,7 +199,7 @@ def criterion_indicator(seed: int, p_max: float = 200.0, *, space_atoms: int = 2
             rep = indicator_norm_check(space, delta, psi, grid)
             worst = max(worst, rep.rel_diff)
             ok = ok and rep.passed
-    return Record("fundamental_function_consistency", ok,
+    return Record(_RECORDS["indicator"], ok,
                   fields=dict(pairs=len(deltas) * len(psis), worst_rel_diff=worst))
 
 
@@ -220,7 +217,7 @@ def criterion_fatou(seed: int, p_max: float = 200.0) -> Record:
         chain.append(SimpleFunction(space, v))
     rep = fatou_check(chain, full, doob_factor(), _grid(p_max, lo=_FIXED_LO))
     ok = rep.monotone and 0.0 <= rep.terminal_gap < 1e-6
-    return Record("fatou_monotone_convergence", ok,
+    return Record(_RECORDS["fatou"], ok,
                   fields=dict(chain_length=len(chain), terminal_gap=rep.terminal_gap,
                               monotone=rep.monotone))
 
@@ -257,7 +254,7 @@ def criterion_covering_oracle(seed: int) -> Record:
         eps = float(rng.uniform(0.05, 1.1)) * max(metric.diameter, 0.05)
         if covering_number(metric, eps, "exact") != _brute_force_cover(metric, eps):
             mismatches += 1
-    return Record("covering_exact_equals_bruteforce", mismatches == 0,
+    return Record(_RECORDS["covering_oracle"], mismatches == 0,
                   fields=dict(seed=seed, metrics=200, mismatches=mismatches))
 
 
@@ -273,7 +270,7 @@ def criterion_dimension(seed: int) -> Record:
     prof2 = covering_profile(torus_lattice_metric(6), 0.5, 8)
     kappa2 = entropy_dimension(prof2, fit_range=(2, 4))
     ok = abs(kappa1 - 1.0) <= 0.2 and abs(kappa2 - 2.0) <= 0.2
-    return Record("entropy_dimension_of_grids", ok,
+    return Record(_RECORDS["dimension"], ok,
                   fields=dict(kappa_line=kappa1, kappa_square=kappa2))
 
 
@@ -304,7 +301,7 @@ def criterion_series(seed: int) -> Record:
         stable = limit / 2.0 <= fitted <= limit * (1.0 + 1e-9)
         stable_ok = stable_ok and stable
         details.append(fitted / limit)
-    return Record("series_bounds", closed_ok and stable_ok,
+    return Record(_RECORDS["series"], closed_ok and stable_ok,
                   fields=dict(worst_closed_form_error=worst_closed,
                               fitted_over_limit=details))
 
@@ -324,8 +321,7 @@ def criterion_doob(seed: int, *, horizons=(10, 14), ps=(1.25, 2.0, 4.0)) -> Reco
                 ok = ok and rep.passed
                 worst_slack = min(worst_slack, rep.cap - rep.ratio)
                 checked += 1
-    return Record("doob_ratio_under_cap", ok,
-                  fields=dict(checked=checked, worst_slack=worst_slack))
+    return Record(_RECORDS["doob"], ok, fields=dict(checked=checked, worst_slack=worst_slack))
 
 
 # --- 10. the dyadic-block proof chain ----------------------------------------
@@ -344,7 +340,7 @@ def criterion_block_chain(seed: int, p_max: float = 200.0, *, horizon: int = 14,
         ratios.append(rep.ratio)
     log_flagged = not summability_check(norming_log()).summable
     ok = ok and log_flagged
-    return Record("martingale_block_chain", ok,
+    return Record(_RECORDS["block_chain"], ok,
                   fields=dict(ratios=ratios, log_flagged_nonsummable=log_flagged))
 
 
@@ -366,26 +362,29 @@ def criterion_fourier(seed: int, p_max: float = 200.0, *, m_list=(16, 32, 64, 12
         rep = maximal_ratio_check(s, constant(), grid, list(m_list))
         ok = ok and rep.passed
         worst_ratio = max(worst_ratio, rep.norm_ratio)
-    return Record("fourier_maximal_saturation", ok,
+    return Record(_RECORDS["fourier"], ok,
                   fields=dict(seed=seed, samples=len(cases),
                               worst_norm_ratio=worst_ratio))
 
 
-CRITERIA = [
-    criterion_pisier,
-    criterion_generalized_pisier,
-    criterion_chained_bound,
-    criterion_indicator,
-    criterion_fatou,
-    criterion_covering_oracle,
-    criterion_dimension,
-    criterion_series,
-    criterion_doob,
-    criterion_block_chain,
-    criterion_fourier,
-]
-
-NAMES = tuple(fn.__name__.removeprefix("criterion_") for fn in CRITERIA)
+# The suite's criteria in order, each by its short name and the name of its
+# record: the criterion writes it, and so does run_criteria when an error
+# ends the criterion
+_RECORDS = {
+    "pisier": "pisier_domination_and_sharpness",
+    "generalized_pisier": "generalized_pisier_domination",
+    "chained_bound": "chained_product_bound_domination",
+    "indicator": "fundamental_function_consistency",
+    "fatou": "fatou_monotone_convergence",
+    "covering_oracle": "covering_exact_equals_bruteforce",
+    "dimension": "entropy_dimension_of_grids",
+    "series": "series_bounds",
+    "doob": "doob_ratio_under_cap",
+    "block_chain": "martingale_block_chain",
+    "fourier": "fourier_maximal_saturation",
+}
+CRITERIA = [globals()[f"criterion_{name}"] for name in _RECORDS]
+NAMES = tuple(_RECORDS)
 
 # CLI verb -> the criteria it runs; the series bounds run only in the suite
 VERBS = {
@@ -396,11 +395,6 @@ VERBS = {
     "fourier": ("fourier",),
     "suite": NAMES,
 }
-
-
-def takes(name: str, param: str) -> bool:
-    """Whether criterion ``name`` declares the keyword ``param``."""
-    return param in inspect.signature(CRITERIA[NAMES.index(name)]).parameters
 
 
 def _range(least, most=math.inf, *, above=False):
@@ -424,7 +418,7 @@ _RULES = {
     "space_atoms": _range(1),
     "atom_mass": _range(0, above=True),
     "deltas": _range(0, above=True),
-    "grid_lo": _range(1, above=True),  # every built-in psi has the support (1, inf)
+    "grid_lo": _range(1, above=True),  # and inside each psi's support, in _check_supports
     "grid_n": _range(2),
     "p_max": _range(-math.inf),  # and above each grid's lower end, in _check_spans
     "tol": _range(0),
@@ -470,6 +464,26 @@ def _check_spans(args: dict, origin: dict) -> None:
                           f"must be at least 4 * max(m_list) = {4 * m}")
 
 
+def _psis(value) -> list:
+    """The PsiFunctions in a psi, psis, nus or pairs value; natural has none."""
+    if isinstance(value, (tuple, list)):
+        return [psi for item in value for psi in _psis(item)]
+    return [value] if isinstance(value, PsiFunction) else []
+
+
+def _check_supports(bound: list, origin: dict) -> None:
+    """Each psi against the ends grid_lo and p_max of its criterion's grid,
+    parameter by parameter, so a psi or nu fails under its own source before
+    under the source of a pair it also sits in."""
+    for param in ("psi", "psis", "nus", "pairs"):
+        for args in bound:
+            for psi in _psis(args.get(param)):
+                try:
+                    psi.check_support(np.array([args["grid_lo"], args["p_max"]]))
+                except DomainError as exc:
+                    raise DomainError(f"{origin[param]}: {exc}") from None
+
+
 def run_criteria(kind: str, seed: int, overrides=()) -> Report:
     """Run the criteria of one verb at the suite's sub-seeds seed*1000 + index.
 
@@ -477,12 +491,14 @@ def run_criteria(kind: str, seed: int, overrides=()) -> Report:
     order, so a later source wins.  Each parameter goes to every criterion of
     the verb that declares it.  Before any criterion runs, DomainError names
     a source that reaches none, a value its parameter's rule in ``_RULES``
-    rejects, and a value that fails a rule spanning parameters.
+    rejects, a value that fails a rule spanning parameters, and a psi whose
+    support does not hold its grid.
     A ValueError (the base of bgl's domain errors) or MemoryError raised
     inside a check becomes a failed record carrying its sub-seed, so the
     rest of the run still reports.
     """
     names = VERBS[kind]
+    signatures = {name: inspect.signature(CRITERIA[NAMES.index(name)]) for name in names}
     params = {name: {} for name in names}
     origin = {}  # parameter -> the source that set it last
     # every criterion that takes p_max defaults it to 200
@@ -493,16 +509,19 @@ def run_criteria(kind: str, seed: int, overrides=()) -> Report:
             check_value(source, param, value)
             origin[param] = source
             for name in names:
-                if takes(name, param):
+                if param in signatures[name].parameters:
                     params[name][param] = value
                     reached = True
         if not reached:
             raise DomainError(f"{source} reaches no {kind} criterion")
         p_max = values.get("p_max", p_max)
+    bound = []
     for name in names:
-        args = inspect.signature(CRITERIA[NAMES.index(name)]).bind(seed, **params[name])
+        args = signatures[name].bind(seed, **params[name])
         args.apply_defaults()
         _check_spans(args.arguments, origin)
+        bound.append(args.arguments)
+    _check_supports(bound, origin)
     report = Report(meta={"kind": kind, "seed": seed, "p_max": p_max})
     for name in names:
         i = NAMES.index(name)
@@ -510,7 +529,7 @@ def run_criteria(kind: str, seed: int, overrides=()) -> Report:
         try:
             rec = CRITERIA[i](sub_seed, **params[name])
         except (ValueError, MemoryError) as exc:
-            rec = Record(name, False, fields=dict(seed=sub_seed, error=str(exc)))
+            rec = Record(_RECORDS[name], False, fields=dict(seed=sub_seed, error=str(exc)))
         report.records.append(rec)
     return report
 

@@ -7,6 +7,7 @@ CLI entry point, and compares bytes.  The verbs run the suite's criteria at
 the suite's sub-seeds, so each verb's records equal the suite's.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from bgl.cli import main as cli_main
+from bgl.errors import DomainError
 from bgl.report import Report, to_text
 from bgl.suite import CRITERIA, NAMES, VERBS, run_criteria, run_suite
 
@@ -106,13 +108,14 @@ def test_criterion_12_suite_determinism(suite_report, tmp_path):
     assert first == second
 
 
-def _python(*args, threads=1) -> bytes:
+def _python(*args, threads=1, timeout=300) -> bytes:
     """stdout of a fresh interpreter on this checkout's bgl, run from the
-    repository root with ``threads`` BLAS threads."""
+    repository root with ``threads`` BLAS threads and killed after
+    ``timeout`` seconds."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
     done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
-                          timeout=300, check=True)
+                          timeout=timeout, check=True)
     return done.stdout
 
 
@@ -121,6 +124,53 @@ def test_bytes_do_not_depend_on_blas_thread_count():
     # fixed-size blocks keep every cell's bits the same at any thread count
     for args in (("-c", KERNEL_HASH), ("-m", "bgl.cli", "martingale", "--seed", "7")):
         assert _python(*args, threads=1) == _python(*args, threads=2)
+
+
+# bgl_norm and fundamental_function on a grid ending at p_max, where psi
+# decreases and the argmax is the grid's top point
+REFINE_AT_TOP = """
+import math, sys, numpy as np
+from bgl.measure import DiscreteMeasureSpace, SimpleFunction
+from bgl.norms import bgl_norm, fundamental_function
+from bgl.psi import PGrid, from_formula
+top = float(sys.argv[1])
+grid = PGrid.log_spaced(1.05, top, 64, p_max_cap=top)
+psi = from_formula(lambda p: 1.0 + p ** -1e-3, 1.0, math.inf)
+f = SimpleFunction(DiscreteMeasureSpace(np.full(4, 0.25)), np.array([0.5, 1.0, 2.0, 3.0]))
+want = 0.5 ** (1.0 / top) / (1.0 + top ** -1e-3)
+print(bgl_norm(f, psi, grid).p_star == top,
+      math.isclose(fundamental_function(psi, 0.5, grid), want, rel_tol=1e-12))
+"""
+
+
+@pytest.mark.parametrize("top", ["1e10", "1e300"])
+def test_sup_over_p_refinements_end_at_a_huge_top(top):
+    # near p = 1e10 adjacent doubles lie further apart than the 1e-6 bracket
+    # both loops narrow to; each ends once a round leaves it no narrower
+    assert _python("-c", REFINE_AT_TOP, top, timeout=60) == b"True True\n"
+
+
+@pytest.mark.parametrize("verb", ["norm", "chain"])
+def test_verb_ends_at_p_max_1e10(verb):
+    out = _python("-m", "bgl.cli", verb, "--seed", "7", "--p-max", "1e10", timeout=120)
+    assert out.endswith(b"summary.verdict = ok\n")
+
+
+def test_failed_record_keeps_its_name(suite_report, monkeypatch):
+    # an error that ends a criterion fails the record of the name it writes
+    from bgl import suite
+
+    def raising(fn):
+        @functools.wraps(fn)
+        def call(seed, **params):
+            raise DomainError(f"forced in {fn.__name__}")
+        return call
+
+    monkeypatch.setattr(suite, "CRITERIA", [raising(fn) for fn in CRITERIA])
+    failed = run_suite(SEED).records
+    assert [r.name for r in failed] == [r.name for r in suite_report.records]
+    assert [r.fields["error"] for r in failed] == [f"forced in {fn.__name__}" for fn in CRITERIA]
+    assert not any(r.passed for r in failed)
 
 
 def test_cli_loads_no_scipy():

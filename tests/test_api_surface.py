@@ -17,7 +17,7 @@ from pathlib import Path
 
 import bgl
 
-LIMIT = 47
+LIMIT = 45
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -38,8 +38,8 @@ from test_entropy import adversarial_family
 GRID = PGrid.log_spaced(1.05, 50, 64)
 
 # two members 20 apart in L_1: the first radius must be 20, not 1
-WIDE_PAIR = FunctionFamily.from_values(DiscreteMeasureSpace(np.ones(3)),
-                                       np.array([[0.0, 0.0, -10.0], [0.0, -10.0, 0.0]]))
+WIDE_PAIR = FunctionFamily(DiscreteMeasureSpace(np.ones(3)),
+                           np.array([[0.0, 0.0, -10.0], [0.0, -10.0, 0.0]]))
 
 
 class TestPisier:
@@ -54,7 +54,7 @@ class TestPisier:
         rng = make_rng(22)
         space = DiscreteMeasureSpace(np.full(16, 1.0 / 16))
         f = SimpleFunction(space, rng.uniform(0.1, 1.0, 16))
-        fam = FunctionFamily.from_values(space, np.tile(f.values, (4, 1)), tuple("abcd"))
+        fam = FunctionFamily(space, np.tile(f.values, (4, 1)))
         r = pisier_bound(fam, 2.0)
         assert r.exact == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
         assert r.bound == pytest.approx(lp_norm(f, 2.0) * 2.0, rel=1e-12)
@@ -112,7 +112,7 @@ class TestLpSignedSide:
     @pytest.mark.parametrize("bound", ["pisier", "entropy_sum"])
     def test_signed_family_two_norms(self, monkeypatch, bound):
         base = random_nonneg_family(make_rng(18), 9, 40)
-        fam = FunctionFamily.from_values(base.space, base.values - 0.6)
+        fam = FunctionFamily(base.space, base.values - 0.6)
         calls = self.count_kernel(monkeypatch)
         for p in (1.0, 2.5, 9.0):
             calls.clear()
@@ -163,7 +163,7 @@ class TestEntropySumBound:
         space = DiscreteMeasureSpace(np.ones(2))
         f = SimpleFunction(space, np.array([2.0 ** -0.5, 0.0]))
         g = SimpleFunction(space, np.array([0.0, 2.0 ** -0.5]))
-        fam = FunctionFamily.from_values(space, np.stack([f.values, g.values]), ("f", "g"))
+        fam = FunctionFamily(space, np.stack([f.values, g.values]))
         assert lp_norm(SimpleFunction(space, f.values - g.values), 2.0) \
             == pytest.approx(1.0, rel=1e-14)
         theta = 0.5
@@ -205,7 +205,7 @@ def test_chaining_dominates_beyond_unit_diameter(c):
     # the radii start at eps_0 = max(1, diam), so scaling a family scales
     # its bounds and they keep dominating
     base = random_nonneg_family(make_rng(5), 8, 32)
-    fam = FunctionFamily.from_values(base.space, base.values * c)
+    fam = FunctionFamily(base.space, base.values * c)
     reps = [entropy_sum_bound(fam, p, theta) for p in (1.0, 2.0, 4.0)
             for theta in (0.3, 0.5, 0.7)]
     for psi, nu in [(constant(), constant()), (power(1.0), doob_factor()),
@@ -363,7 +363,7 @@ class TestPolynomialEntropy:
         u = np.linspace(0.0, 1.0, n_atoms)
         ts = np.linspace(0.0, 1.0, n_index)
         rows = [1.0 - np.abs(t - u) for t in ts]
-        return FunctionFamily.from_values(space, np.stack(rows))
+        return FunctionFamily(space, np.stack(rows))
 
     def test_lipschitz_index_spread_bounded(self):
         fam = self.lipschitz_family()
@@ -445,7 +445,7 @@ class TestExpOrlicz:
 
     def test_two_member_hand_sum(self):
         space = DiscreteMeasureSpace(np.ones(2))
-        fam = FunctionFamily.from_values(space, np.eye(2))
+        fam = FunctionFamily(space, np.eye(2))
         theta, b1, b2 = 0.5, 0.5, 1.5
         rep = exp_orlicz_bound(fam, 1.0, b1, b2, theta)
         # diameter-anchored levels give N = 2 at level 1, then saturation:
@@ -457,7 +457,7 @@ class TestExpOrlicz:
         rng = make_rng(30)
         fam = random_nonneg_family(rng, 16, 32)
         rep1 = exp_orlicz_bound(fam, 1.0, 0.5, 1.5, 0.5)
-        rep10 = exp_orlicz_bound(FunctionFamily.from_values(fam.space, fam.values * 10.0),
+        rep10 = exp_orlicz_bound(FunctionFamily(fam.space, fam.values * 10.0),
                                  1.0, 0.5, 1.5, 0.5)
         assert rep10.slack_ratio == pytest.approx(rep1.slack_ratio, rel=1e-9)
 
@@ -521,6 +521,6 @@ def test_pisier_slack_scale_invariant(seed, p, c):
     rng = make_rng(seed)
     fam = random_nonneg_family(rng, 6, 16)
     base = pisier_bound(fam, p)
-    scaled = pisier_bound(FunctionFamily.from_values(fam.space, fam.values * c), p)
+    scaled = pisier_bound(FunctionFamily(fam.space, fam.values * c), p)
     assert scaled.bound == pytest.approx(c * base.bound, rel=1e-9)
     assert scaled.slack_ratio == pytest.approx(base.slack_ratio, rel=1e-9)

@@ -128,19 +128,19 @@ class TestSemiMetric:
             m = int(rng.integers(3, 7))
             vals = rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 9.0, m) * 1e299
             space = DiscreteMeasureSpace(rng.uniform(1e-3, 1e3, 1))
-            fam = FunctionFamily.from_values(space, vals[:, None])
+            fam = FunctionFamily(space, vals[:, None])
             got = family_semimetric(fam, psi=constant(), grid=grid).d
             assert np.array_equal(got, full_column_semimetric(fam, constant(), grid))
 
     def test_identical_functions_zero_matrix(self):
         space = DiscreteMeasureSpace(np.ones(4))
-        fam = FunctionFamily.from_values(space, np.tile(np.arange(4.0), (3, 1)))
+        fam = FunctionFamily(space, np.tile(np.arange(4.0), (3, 1)))
         metric = family_semimetric(fam, p=2.0)
         assert np.all(metric.d == 0.0) and metric.n_distinct() == 1
 
     def test_disjoint_indicators_distance(self):
         space = DiscreteMeasureSpace(np.ones(2))
-        fam = FunctionFamily.from_values(space, np.eye(2))
+        fam = FunctionFamily(space, np.eye(2))
         metric = family_semimetric(fam, p=2.0)
         assert metric.d[0, 1] == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
@@ -160,7 +160,7 @@ class TestFamilySemimetricCells:
     @staticmethod
     def signed_family():
         base = random_nonneg_family(make_rng(23), 11, 40)
-        return FunctionFamily.from_values(base.space, base.values - 0.5)
+        return FunctionFamily(base.space, base.values - 0.5)
 
     @staticmethod
     def diff(fam, i, j):
@@ -216,7 +216,7 @@ def trig_family(m, atoms=256, seed=11, degree=32):
     k = np.arange(1, degree + 1)
     phase = 2.0 * np.pi * np.outer(np.arange(m) / m, k)
     values = (np.cos(phase) * k ** -1.5) @ g + (np.sin(phase) * k ** -1.5) @ h
-    return FunctionFamily.from_values(DiscreteMeasureSpace(np.full(atoms, 1.0 / atoms)), values)
+    return FunctionFamily(DiscreteMeasureSpace(np.full(atoms, 1.0 / atoms)), values)
 
 
 class TestSemimetricPruning:
@@ -270,7 +270,7 @@ class TestSemimetricPruning:
         # and below the smallest normal float the rounding of a norm is far
         # above the 1e-12 margin: such chords must keep every cell
         space = DiscreteMeasureSpace(np.array([w]))
-        fam = FunctionFamily.from_values(space, np.array([[0.0], [x], [3 * x], [7 * x]]))
+        fam = FunctionFamily(space, np.array([[0.0], [x], [3 * x], [7 * x]]))
         psi0 = natural_psi(fam, self.GRID)
         got = family_semimetric(fam, psi=psi0, grid=self.GRID).d
         assert np.array_equal(got, full_column_semimetric(fam, psi0, self.GRID))
@@ -296,7 +296,7 @@ class TestGridSups:
         values[1, 0], values[2, :2], values[3, 3] = 1e-310, (3e-318, 1e-320), 1e-320
         values[4:] = make_rng(63).uniform(0.0, 1e-300, (4, 4))
         space = DiscreteMeasureSpace(np.array([0.5, 1e-3, 1.0, 2.0]))
-        return FunctionFamily.from_values(space, values)
+        return FunctionFamily(space, values)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 64, 65])
     @pytest.mark.parametrize("kind", ["random", "trig", "subnormal"])
@@ -371,7 +371,7 @@ def adversarial_family(draw):
         elif kind == "copy":
             values[i] = values[draw(st.integers(0, m - 1))]
     weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=atoms, max_size=atoms))
-    return FunctionFamily.from_values(DiscreteMeasureSpace(np.array(weights)), values)
+    return FunctionFamily(DiscreteMeasureSpace(np.array(weights)), values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -551,7 +551,7 @@ class TestRescalingInequality:
 class TestProfile:
     def test_zero_diameter(self):
         space = DiscreteMeasureSpace(np.ones(3))
-        fam = FunctionFamily.from_values(space, np.ones((4, 3)))
+        fam = FunctionFamily(space, np.ones((4, 3)))
         metric = family_semimetric(fam, p=2.0)
         prof = covering_profile(metric, 0.5, 8)
         assert all(lv.n_balls == 1 for lv in prof.levels)

@@ -18,7 +18,7 @@ from bgl.fourier import (
     square_wave_sample,
     trig_poly_sample,
 )
-from bgl.measure import DiscreteMeasureSpace
+from bgl.measure import SimpleFunction
 from bgl.norms import lp_norm, lp_norm_matrix
 from bgl.psi import PGrid, constant
 
@@ -165,45 +165,37 @@ class TestPhaseTable:
 
 
 class TestSampleBoundary:
-    """A sample off the uniform grid, off its weights, or with a complex or
-    non-finite value is rejected with a one-line DomainError."""
+    """A sample is its K values: a complex, non-finite or non-1-d array, or
+    a K that is odd or below 8, is rejected with a one-line DomainError."""
 
-    def _raises(self, x, values, weights):
+    def _raises(self, values):
         with pytest.raises(DomainError) as err:
-            FourierSample(x=x, values=values, space=DiscreteMeasureSpace(weights))
+            FourierSample(values)
         assert "\n" not in str(err.value)
 
     def test_uniform_sample_accepted(self):
         s = square_wave_sample(64)
-        FourierSample(x=s.x.copy(), values=s.values.copy(),
-                      space=DiscreteMeasureSpace(s.space.weights.copy()))
-
-    def test_grid_off_by_one_ulp_rejected(self):
-        s = square_wave_sample(64)
-        x = s.x.copy()
-        x[5] = np.nextafter(x[5], np.inf)
-        self._raises(x, s.values, s.space.weights)
-        self._raises(np.linspace(-math.pi, math.pi, 64), s.values, s.space.weights)
-
-    def test_weights_other_than_two_pi_over_k_rejected(self):
-        s = square_wave_sample(64)
-        w = s.space.weights.copy()
-        w[3] = np.nextafter(w[3], 0.0)
-        self._raises(s.x, s.values, w)
-        self._raises(s.x, s.values, np.full(64, 1.0 / 64))
+        copy = FourierSample(s.values.copy())
+        assert np.array_equal(copy.x, -math.pi + 2.0 * math.pi * np.arange(64) / 64)
+        assert np.array_equal(copy.space.weights, np.full(64, 2.0 * math.pi / 64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         s = square_wave_sample(64)
         values = s.values.copy()
         values[10] = bad
-        self._raises(s.x, values, s.space.weights)
+        self._raises(values)
         with pytest.raises(DomainError):
             sample_function(lambda x: np.where(x == 0.0, bad, 1.0), 64)
 
     def test_complex_values_rejected(self):
         s = square_wave_sample(64)
-        self._raises(s.x, s.values + 1j * s.values, s.space.weights)
+        self._raises(s.values + 1j * s.values)
+
+    def test_shape_and_size_rejected(self):
+        self._raises(np.ones((8, 8)))
+        self._raises(np.ones(9))
+        self._raises(np.ones(6))
 
 
 class TestMaximalPartialSum:
@@ -281,7 +273,7 @@ class TestMaximalRatio:
         m_list = [8, 16, 32, 64]
         rep = maximal_ratio_check(s, constant(), grid, m_list)
         maxima = maximal_partial_sums(s, m_list)
-        f = s.as_function()
+        f = SimpleFunction(s.space, s.values)
         assert [p for p, _ in rep.rho] == list(grid.points)
         for p, row in rep.rho:
             assert [m for m, _ in row] == m_list

@@ -42,8 +42,8 @@ def spy_criteria(monkeypatch) -> dict:
 DOCUMENTED = (
     "[scenario]\nkind = suite\nseed = 3\n"
     "[grid]\nlo = 1.1\np_max = 50\nn = 16\n"
-    "[psi]\nname = table\npoints = 1 2 4\nvalues = 1 2 3\n"
-    "[nu]\nname = ratio\nkappa = 2\n"
+    "[psi]\nname = table\npoints = 1 2 4 64\nvalues = 1 2 3 3\n"
+    "[nu]\nname = ratio\nkappa = 1\n"
     "[family]\ngenerator = random_nonneg\nmembers = 3\natoms = 8\ncount = 2\n"
     "[chain]\ntheta = 0.5\nk_max = 8\ntol = 1e-9\n"
     "[norm]\ndeltas = 0.5\natoms = 16\natom_mass = 0.0625\n"
@@ -58,7 +58,6 @@ class TestColumnarFormat:
         path = tmp_path / "family.tsv"
         save_family(path, fam)
         loaded = load_family(path)
-        assert loaded.labels == fam.labels
         assert np.array_equal(loaded.space.weights, fam.space.weights)
         assert np.array_equal(loaded.values, fam.values)
 
@@ -72,6 +71,16 @@ class TestColumnarFormat:
         path = tmp_path / "bad.tsv"
         path.write_text("# id mass f\n0 1.0 2.0\n")
         with pytest.raises(DomainError):
+            load_family(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("# atom_id weight a b c\n0 1.0 2.0 3.0\n", "value columns do not match the header"),
+        ("# atom_id weight a\n0 1.0 2.0\n1 1.0 3.0\n0 1.0 4.0\n", "atom ids must be unique"),
+    ], ids=["labels_off_columns", "duplicate_ids"])
+    def test_header_and_ids_checked_then_dropped(self, tmp_path, body, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(body)
+        with pytest.raises(DomainError, match=message):
             load_family(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -303,6 +312,20 @@ class TestScenarioConfig:
         **{f"{verb}_p_max_1_08": (verb, "", ("--p-max", "1.08"),
                                   "--p-max = 1.08: must exceed the grid's lower end 1.1")
            for verb in ("martingale", "norm", "fourier")},
+        # each psi's support must hold the grids it meets, from grid_lo to p_max
+        "psi_ratio_2": ("chain", "[psi]\nname = ratio\nkappa = 2\n[family]\ncount = 2\n", (),
+                        "[psi] name: p=1.05 outside open support (2.0, inf) of ratio[2]"),
+        "nu_ratio_2": ("chain", "[nu]\nname = ratio\nkappa = 2\n", (),
+                       "[nu] name: p=1.05 outside open support (2.0, inf) of ratio[2]"),
+        "nu_ratio_2_with_psi": ("chain", "[psi]\nname = constant\n[nu]\nname = ratio\nkappa = 2\n",
+                                (), "[nu] name: p=1.05 outside open support (2.0, inf) of ratio[2]"),
+        "norm_psi_ratio_2": ("norm", "[psi]\nname = ratio\nkappa = 2\n", (),
+                             "[psi] name: p=1.05 outside open support (2.0, inf) of ratio[2]"),
+        "psi_table": ("norm", "[psi]\nname = table\npoints = 1 2 4\nvalues = 1 2 3\n", (),
+                      "[psi] name: p=200.0 outside open support (1.0, 4.0) of table"),
+        "psi_table_p_max": ("chain", "[psi]\nname = table\npoints = 1 8\nvalues = 1 2\n",
+                            ("--p-max", "9"),
+                            "[psi] name: p=9.0 outside open support (1.0, 8.0) of table"),
     }
 
     @pytest.mark.parametrize("case", REJECTED)
@@ -521,7 +544,7 @@ class TestScenarioConfig:
         assert params["[norm] atoms"] == {"space_atoms": 16}
         assert params["[norm] atom_mass"] == {"atom_mass": 0.0625}
         assert params["[family] members"] == {"members": (3, 4)}
-        assert params["[nu] name"]["nus"][0].label == "ratio[2]"
+        assert params["[nu] name"]["nus"][0].label == "ratio[1]"
         assert params["[psi] name"]["psi"](np.array([3.0])) == pytest.approx(6 ** 0.5)
         file_cfg = tmp_path / "file.cfg"
         file_cfg.write_text("[scenario]\nkind = chain\n"

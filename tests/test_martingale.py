@@ -102,6 +102,9 @@ class TestEnsemble:
         build_walk_ensemble(5, increments=[-3.0, 1.0], probs=[0.25, 0.75])
         with pytest.raises(PreconditionError):
             build_walk_ensemble(5, increments=[-1.0, 1.0], probs=[0.3, 0.7])
+        # the default +-1 steps take the same checks
+        with pytest.raises(PreconditionError):
+            build_walk_ensemble(5, probs=[0.3, 0.7])
 
     @pytest.mark.parametrize("law", [
         dict(increments=[]),
@@ -109,7 +112,8 @@ class TestEnsemble:
         dict(increments=[-1.0, 1.0], probs=[0.5, 0.25, 0.25]),
         dict(increments=[[-1.0, 1.0], [1.0, -1.0]]),
         dict(increments=[np.nan, 1.0]),
-    ], ids=["empty", "short_probs", "long_probs", "2-d", "nan"])
+        dict(probs=[1.0]),
+    ], ids=["empty", "short_probs", "long_probs", "2-d", "nan", "default_steps_short_probs"])
     def test_malformed_law_is_one_line_domain_error(self, law):
         with pytest.raises(DomainError, match=r"^[^\n]+$"):
             build_walk_ensemble(3, **law)

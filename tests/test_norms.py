@@ -308,7 +308,7 @@ class TestBglNorm:
         rng = make_rng(1)
         f = SimpleFunction(unit_space(24), rng.uniform(0.2, 2.0, 24))
         grid = PGrid.log_spaced(1.05, 40, 48)
-        psi0 = natural_psi(FunctionFamily.from_values(f.space, f.values[None, :], ("f",)), grid)
+        psi0 = natural_psi(FunctionFamily(f.space, f.values[None, :]), grid)
         assert bgl_norm(f, psi0, grid).value == pytest.approx(1.0, abs=1e-14)
 
     def test_inverse_sqrt_discretization(self):
@@ -488,8 +488,7 @@ class TestIndicatorCheck:
 
 class TestNaturalPsi:
     def test_disjoint_indicators_give_unit_psi(self):
-        fam = FunctionFamily.from_values(
-            DiscreteMeasureSpace(np.ones(5)), np.eye(5))
+        fam = FunctionFamily(DiscreteMeasureSpace(np.ones(5)), np.eye(5))
         grid = PGrid.log_spaced(1.05, 40, 32)
         psi0 = natural_psi(fam, grid)
         assert np.allclose(psi0.eval(grid.points), 1.0, rtol=1e-14)
@@ -504,7 +503,7 @@ class TestNaturalPsi:
 
     def test_zero_family_rejected(self):
         # psi0 = 0 would make bgl_norm return NaN silently
-        fam = FunctionFamily.from_values(unit_space(5), np.zeros((3, 5)))
+        fam = FunctionFamily(unit_space(5), np.zeros((3, 5)))
         with pytest.raises(DomainError, match="all members zero"):
             natural_psi(fam, PGrid.log_spaced(1.05, 40, 16))
 
@@ -542,7 +541,7 @@ class TestNaturalPsiExact:
         if m >= 6:
             values[3] = values[0]
             values[5] = 0.0
-        return FunctionFamily.from_values(DiscreteMeasureSpace(w), values)
+        return FunctionFamily(DiscreteMeasureSpace(w), values)
 
     @pytest.mark.parametrize("m, mass", [(12, 1e-3), (12, 1.0), (12, 1e3), (1, 7.0)])
     @pytest.mark.parametrize("request_name", list(REQUESTS))
