@@ -7,9 +7,13 @@ optimal; it is capped at m <= 24 points so the worst case stays fast.  The
 greedy mode is deterministic (ties break on the lowest index), never smaller
 than the optimum, and within a factor 1 + ln m of it.
 
-Both solvers read ball j as row j of the ball matrix and take the balls
-holding point j to be the centers in ball j.  That relies on `SemiMetric`
-rejecting any distance matrix that is not exactly symmetric.
+The solvers see a metric only through `size`, `n_distinct()` and
+`balls(eps)`, the boolean matrix of d <= eps.  They read ball j as row j of
+that matrix and take the balls holding point j to be the centers in ball j.
+That relies on `SemiMetric` rejecting any distance matrix that is not exactly
+symmetric; a `SupProductMetric`'s ball matrix is the Kronecker product of its
+factors', so it is symmetric because theirs are, and it never holds the
+product's distance matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .psi import PGrid, PsiFunction
 
 __all__ = [
     "SemiMetric",
+    "SupProductMetric",
     "CoverLevel",
     "CoveringProfile",
     "family_semimetric",
@@ -101,6 +106,10 @@ class SemiMetric:
                 count += 1
         return count
 
+    def balls(self, eps: float) -> np.ndarray:
+        """Boolean matrix of d <= eps: row j is the closed eps-ball about j."""
+        return self.d <= eps
+
     @staticmethod
     def from_points(points) -> "SemiMetric":
         """Euclidean distances of a point cloud, one point per row (a 1-d
@@ -115,6 +124,35 @@ class SemiMetric:
 
     def scaled(self, c: float) -> "SemiMetric":
         return SemiMetric(self.d * float(c), trusted=True)
+
+
+@dataclass(frozen=True)
+class SupProductMetric:
+    """The product of metrics under the max metric, held as its factors.
+
+    Point (i_1, ..., i_r) is row i_1 s_2...s_r + ... + i_r, each i_k indexing
+    factor k of size s_k.  A point lies in the eps-ball about another exactly
+    when each coordinate lies in its factor's eps-ball, so the ball matrix is
+    the Kronecker product of the factors' ball matrices.
+    """
+
+    factors: tuple
+
+    @property
+    def size(self) -> int:
+        return math.prod(f.size for f in self.factors)
+
+    def n_distinct(self) -> int:
+        """Zero-distance classes of the product are products of the factors'."""
+        return math.prod(f.n_distinct() for f in self.factors)
+
+    def balls(self, eps: float) -> np.ndarray:
+        within = self.factors[0].balls(eps)
+        for f in self.factors[1:]:
+            b = f.balls(eps)
+            within = (within[:, None, :, None] & b[None, :, None, :]).reshape(
+                within.shape[0] * b.shape[0], -1)
+        return within
 
 
 def family_semimetric(family: FunctionFamily, p: float | None = None,
@@ -160,9 +198,8 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
 # covering numbers
 
 
-def _ball_masks(metric: SemiMetric, eps: float) -> list[int]:
-    within = metric.d <= eps
-    bits = np.packbits(within, axis=1, bitorder="little")
+def _ball_masks(metric: SemiMetric | SupProductMetric, eps: float) -> list[int]:
+    bits = np.packbits(metric.balls(eps), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 
@@ -271,7 +308,7 @@ def _exact_cover(masks: list[int], m: int) -> tuple[int, list[int]]:
     return best_size, best_centers
 
 
-def covering_with_centers(metric: SemiMetric, eps: float,
+def covering_with_centers(metric: SemiMetric | SupProductMetric, eps: float,
                           mode: str = "exact") -> tuple[int, list[int]]:
     if not eps > 0:
         raise DomainError("eps must be positive")
@@ -283,7 +320,7 @@ def covering_with_centers(metric: SemiMetric, eps: float,
             )
         return _exact_cover(_ball_masks(metric, eps), m)
     if mode == "greedy":
-        return _greedy_cover_dense(metric.d <= eps)
+        return _greedy_cover_dense(metric.balls(eps))
     raise DomainError(f"unknown covering mode {mode!r}")
 
 
@@ -315,7 +352,7 @@ def check_theta(theta: float) -> None:
         raise DomainError("theta must lie in (0, 1)")
 
 
-def covering_profile(metric: SemiMetric, theta: float, k_max: int,
+def covering_profile(metric: SemiMetric | SupProductMetric, theta: float, k_max: int,
                      mode: str | None = None) -> CoveringProfile:
     """Covering numbers at eps = theta^k, k = 1..k_max, stopping once the
     levels saturate (singleton balls: N equals the number of distinct points).

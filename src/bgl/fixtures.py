@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .entropy import SemiMetric
+from .entropy import SemiMetric, SupProductMetric
 from .measure import DiscreteMeasureSpace, FunctionFamily
 
 __all__ = [
@@ -64,15 +64,14 @@ def circle_lattice_metric(j: int) -> SemiMetric:
     return SemiMetric(d, trusted=True)
 
 
-def torus_lattice_metric(j: int) -> SemiMetric:
+def torus_lattice_metric(j: int) -> SupProductMetric:
     """2^j x 2^j cell-centered lattice on [0,1]^2 under the periodic sup
     metric; the 2-d analogue of circle_lattice_metric (covering numbers
-    quadruple per halved radius over the aligned levels)."""
-    s = 2 ** j
-    c = circle_lattice_metric(j).d
-    # point (a, b) is row a * s + b; its distance is the larger circle distance
-    d = np.maximum(c[:, None, :, None], c[None, :, None, :]).reshape(s * s, s * s)
-    return SemiMetric(d, trusted=True)
+    quadruple per halved radius over the aligned levels).  Point (a, b) is
+    row a 2^j + b; the product of two circles never builds its 4^j x 4^j
+    distance matrix."""
+    circle = circle_lattice_metric(j)
+    return SupProductMetric((circle, circle))
 
 
 def random_trig_coeffs(rng: np.random.Generator, degree: int):

@@ -1,9 +1,12 @@
 """Generating functions for grand Lebesgue norms.
 
 A generating function psi lives on an open interval (a, b) with
-1 <= a < b <= inf and satisfies psi(p) >= 1 there.  The norm built from it,
-sup_p |f|_p / psi(p), only ever needs point evaluation, so a function is
-stored as a vectorized evaluator plus its support endpoints.  Closed forms
+1 <= a < b <= inf.  The norm built from it, sup_p |f|_p / psi(p), divides
+by psi, so psi must be finite and positive on the p-grid it is evaluated
+on; the suite checks that at each grid's ends before any criterion runs,
+and no bound needs psi >= 1.  The norm only ever needs point evaluation,
+so a function is stored as a vectorized evaluator plus its support
+endpoints.  Closed forms
 (constant, power, p/(p-1), p/(p-kappa), tabulated) are provided as
 constructors.  The transforms used by the maximal inequalities (the kappa
 corrections, the Doob and Fourier weights) are each psi times a closed-form

@@ -140,15 +140,16 @@ def criterion_pisier(seed: int, *, count: int = 200, members: tuple = (2, 33),
 
 def criterion_generalized_pisier(seed: int, p_max: float = 200.0, *, count: int = 200,
                                  members: tuple = (2, 33), atoms: int = 48, family=None,
-                                 pairs=None, grid_lo: float = 1.05, grid_n: int = 64,
+                                 pairs=((constant(), constant()), (power(1.0), doob_factor()),
+                                        (NATURAL, power(1.0))),
+                                 grid_lo: float = 1.05, grid_n: int = 64,
                                  tol: float = 1e-8) -> Record:
     """``pairs`` of (psi, nu) default to (1, 1), (p, p/(p-1)) and (natural, p)."""
     rng = make_rng(seed)
     grid = _grid(p_max, grid_n, grid_lo)
     margins = _Margins(tol)
     for idx, fam in _families(rng, count, members, atoms, family):
-        for psi, nu in pairs or [(constant(), constant()), (power(1.0), doob_factor()),
-                                 (NATURAL, power(1.0))]:
+        for psi, nu in pairs:
             psi, nu = _resolve(psi, fam, grid), _resolve(nu, fam, grid)
             r = generalized_pisier_bound(fam, psi, nu, grid)
             margins.add(r.bound, r.exact, family_index=idx, psi=psi.label, nu=nu.label)
@@ -160,7 +161,8 @@ def criterion_generalized_pisier(seed: int, p_max: float = 200.0, *, count: int 
 
 def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
                             members: tuple = (4, 17), atoms: int = 32, family=None,
-                            psi=NATURAL, nus=None, thetas=(0.3, 0.5, 0.7), k_max: int = 32,
+                            psi=NATURAL, nus=(constant(), power(1.0)),
+                            thetas=(0.3, 0.5, 0.7), k_max: int = 32,
                             grid_lo: float = 1.05, grid_n: int = 64,
                             tol: float = 1e-8) -> Record:
     """``nus`` default to (1, p)."""
@@ -170,7 +172,7 @@ def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
     for idx, fam in _families(rng, count, members, atoms, family):
         psi0 = _resolve(psi, fam, grid)
         metric = family_semimetric(fam, psi=psi0, grid=grid)
-        for nu in nus or [constant(), power(1.0)]:
+        for nu in nus:
             nu = _resolve(nu, fam, grid)
             reports = chained_product_bounds(fam, psi0, nu, grid, thetas, k_max=k_max,
                                              metric=metric)
@@ -184,14 +186,14 @@ def criterion_chained_bound(seed: int, p_max: float = 200.0, *, count: int = 50,
 
 
 def criterion_indicator(seed: int, p_max: float = 200.0, *, space_atoms: int = 256,
-                        atom_mass: float = 1.0 / 16.0, psis=None,
+                        atom_mass: float = 1.0 / 16.0,
+                        psis=(constant(), power(0.5), power(2.0), doob_factor()),
                         deltas=(0.25, 0.5, 1.0, 2.0, 4.0), grid_lo: float = 1.05,
                         grid_n: int = 64) -> Record:
     """On ``space_atoms`` atoms of mass ``atom_mass``; ``psis`` default to 1,
     p^0.5, p^2 and p/(p-1); dyadic masses are exact."""
     space = DiscreteMeasureSpace(np.full(space_atoms, atom_mass))
     grid = _grid(p_max, grid_n, grid_lo)
-    psis = psis or [constant(), power(0.5), power(2.0), doob_factor()]
     worst = 0.0
     ok = True
     for delta in deltas:
@@ -474,14 +476,24 @@ def _psis(value) -> list:
 def _check_supports(bound: list, origin: dict) -> None:
     """Each psi against the ends grid_lo and p_max of its criterion's grid,
     parameter by parameter, so a psi or nu fails under its own source before
-    under the source of a pair it also sits in."""
+    under the source of a pair it also sits in.  The ends must lie inside the
+    psi's support, and psi must be finite and positive there; a default psi
+    that is not fails under the source of the end."""
     for param in ("psi", "psis", "nus", "pairs"):
         for args in bound:
             for psi in _psis(args.get(param)):
+                ends = np.array([args["grid_lo"], args["p_max"]])
                 try:
-                    psi.check_support(np.array([args["grid_lo"], args["p_max"]]))
+                    psi.check_support(ends)
                 except DomainError as exc:
                     raise DomainError(f"{origin[param]}: {exc}") from None
+                with np.errstate(all="ignore"):
+                    values = np.broadcast_to(psi.eval(ends), ends.shape)
+                for end, p, value in zip(("grid_lo", "p_max"), ends, values):
+                    if not (math.isfinite(value) and value > 0.0):
+                        source = origin.get(param) or f"{origin[end]} = {p:g}"
+                        raise DomainError(f"{source}: {psi.label}(p) = {value} at p = {p:g}; "
+                                          f"psi must be finite and positive on its grid")
 
 
 def run_criteria(kind: str, seed: int, overrides=()) -> Report:

@@ -108,14 +108,19 @@ def test_criterion_12_suite_determinism(suite_report, tmp_path):
     assert first == second
 
 
-def _python(*args, threads=1, timeout=300) -> bytes:
-    """stdout of a fresh interpreter on this checkout's bgl, run from the
-    repository root with ``threads`` BLAS threads and killed after
-    ``timeout`` seconds."""
+def _run(*args, threads=1, timeout=300) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's bgl, run from the repository
+    root with ``threads`` BLAS threads and killed after ``timeout`` seconds."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
-    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
-                          timeout=timeout, check=True)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          timeout=timeout)
+
+
+def _python(*args, threads=1, timeout=300) -> bytes:
+    """stdout of `_run`, which must exit 0."""
+    done = _run(*args, threads=threads, timeout=timeout)
+    done.check_returncode()
     return done.stdout
 
 
@@ -156,6 +161,15 @@ def test_verb_ends_at_p_max_1e10(verb):
     assert out.endswith(b"summary.verdict = ok\n")
 
 
+def test_psi_overflowing_at_p_max_exits_two():
+    # the indicator criterion's psi = p^2 is inf at p = 1e300: one error line
+    # naming the flag, and no numpy overflow warning
+    done = _run("-m", "bgl.cli", "norm", "--seed", "7", "--p-max", "1e300")
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr == (b"error: --p-max = 1e+300: power[2](p) = inf at p = 1e+300; "
+                           b"psi must be finite and positive on its grid\n")
+
+
 def test_failed_record_keeps_its_name(suite_report, monkeypatch):
     # an error that ends a criterion fails the record of the name it writes
     from bgl import suite
@@ -182,6 +196,12 @@ def test_cli_loads_no_scipy():
 # peak RSS of `bgl martingale` at the config cap, horizon 20 (2^20 paths)
 WALK20_BUDGET_MIB = 150
 
+# peak RSS of `bgl entropy --seed 20240801`, whose largest input is the
+# 4096-point torus; measured 58 MiB with the torus as a product of two
+# circles, 186 MiB when it held its 128 MiB distance matrix (2-core x86 VM,
+# Python 3.11, numpy 2.4)
+ENTROPY_BUDGET_MIB = 80
+
 # runs its argv as a child and prints that child's peak RSS in KiB; a fresh
 # parent sees no other child, whatever this test process ran before
 PEAK_RSS = """
@@ -197,6 +217,12 @@ def test_walk_at_horizon_cap_stays_in_memory_budget(tmp_path):
     kib = int(_python("-c", PEAK_RSS, sys.executable, "-m", "bgl.cli", "martingale",
                       "--config", str(cfg)))
     assert kib < WALK20_BUDGET_MIB * 1024, f"{kib / 1024:.0f} MiB"
+
+
+def test_covering_criteria_stay_in_memory_budget():
+    kib = int(_python("-c", PEAK_RSS, sys.executable, "-m", "bgl.cli", "entropy",
+                      "--seed", str(SEED)))
+    assert kib < ENTROPY_BUDGET_MIB * 1024, f"{kib / 1024:.0f} MiB"
 
 
 @pytest.mark.parametrize("verb", ["norm", "entropy", "martingale", "fourier"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bgl.entropy import (
     EXACT_COVER_LIMIT,
     SemiMetric,
+    SupProductMetric,
     _ball_masks,
     _ball_tables,
     _greedy_cover,
@@ -597,22 +598,53 @@ class TestProfile:
             assert covered.all()
 
 
+def periodic_sup_metric(s: int, t: int) -> SemiMetric:
+    """The s x t cell-centered lattice on [0,1]^2 under the periodic sup
+    metric, built per coordinate on a meshgrid: the dense reference for a
+    product of circle lattices."""
+    xx, yy = np.meshgrid((np.arange(s) + 0.5) / s, (np.arange(t) + 0.5) / t, indexing="ij")
+    px, py = xx.ravel(), yy.ravel()
+    dx = np.abs(px[:, None] - px[None, :])
+    np.minimum(dx, 1.0 - dx, out=dx)
+    dy = np.abs(py[:, None] - py[None, :])
+    np.minimum(dy, 1.0 - dy, out=dy)
+    d = np.maximum(dx, dy)
+    np.fill_diagonal(d, 0.0)
+    return SemiMetric(d, trusted=True)
+
+
+def probe_radii(metric: SemiMetric) -> list:
+    """Each distinct distance, the float just below it, and 0.5^k for k = 1..8."""
+    dist = np.unique(metric.d)
+    below = np.nextafter(dist, -np.inf)
+    return [float(e) for e in np.concatenate([dist, below, 0.5 ** np.arange(1, 9)]) if e > 0]
+
+
 class TestLattices:
     def test_torus_matches_meshgrid_construction(self):
-        # the torus is built from its circle factor; the floats must equal
-        # the per-coordinate meshgrid construction bit for bit
+        # the torus is the sup product of two circle factors and never holds
+        # its distance matrix; what the covering layer reads of it (size,
+        # distinct points, balls) must equal the meshgrid construction's
         for j in range(2, 6):
             s = 2 ** j
-            g = (np.arange(s) + 0.5) / s
-            xx, yy = np.meshgrid(g, g, indexing="ij")
-            px, py = xx.ravel(), yy.ravel()
-            dx = np.abs(px[:, None] - px[None, :])
-            np.minimum(dx, 1.0 - dx, out=dx)
-            dy = np.abs(py[:, None] - py[None, :])
-            np.minimum(dy, 1.0 - dy, out=dy)
-            d = np.maximum(dx, dy)
-            np.fill_diagonal(d, 0.0)
-            assert np.array_equal(torus_lattice_metric(j).d, d)
+            torus, dense = torus_lattice_metric(j), periodic_sup_metric(s, s)
+            assert torus.size == dense.size == s * s
+            assert torus.n_distinct() == dense.n_distinct() == s * s
+            for eps in probe_radii(dense):
+                assert np.array_equal(torus.balls(eps), dense.balls(eps)), (j, eps)
+            assert covering_profile(torus, 0.5, 8) == covering_profile(dense, 0.5, 8)
+
+    @pytest.mark.parametrize("j1, j2", [(2, 2), (1, 3)])
+    def test_exact_cover_of_small_product(self, j1, j2):
+        # 16 points, under EXACT_COVER_LIMIT: the exact solver's masks and
+        # covers on the product equal those on its dense metric
+        product = SupProductMetric((circle_lattice_metric(j1), circle_lattice_metric(j2)))
+        dense = periodic_sup_metric(2 ** j1, 2 ** j2)
+        assert product.size == dense.size == 16 <= EXACT_COVER_LIMIT
+        for eps in probe_radii(dense):
+            assert _ball_masks(product, eps) == _ball_masks(dense, eps), eps
+            assert (covering_with_centers(product, eps, "exact")
+                    == covering_with_centers(dense, eps, "exact")), eps
 
 
 class TestDimension:

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from bgl.cli import main as cli_main
 from bgl.errors import DomainError
 from bgl.fixtures import make_rng, random_nonneg_family
 from bgl.measure import DiscreteMeasureSpace, FunctionFamily, load_family, save_family
+from bgl.psi import from_formula
 from bgl.report import Record, Report, to_table, to_text
 from bgl.scenario import load_scenario
 from bgl.suite import CRITERIA, NAMES, VERBS, run_criteria
@@ -326,6 +328,10 @@ class TestScenarioConfig:
         "psi_table_p_max": ("chain", "[psi]\nname = table\npoints = 1 8\nvalues = 1 2\n",
                             ("--p-max", "9"),
                             "[psi] name: p=9.0 outside open support (1.0, 8.0) of table"),
+        # and be finite and positive at both ends
+        "psi_power_300": ("norm", "[psi]\nname = power\nbeta = 300\n", (),
+                          "[psi] name: power[300](p) = inf at p = 200; "
+                          "psi must be finite and positive on its grid"),
     }
 
     @pytest.mark.parametrize("case", REJECTED)
@@ -339,6 +345,15 @@ class TestScenarioConfig:
         assert cli_main([verb, "--config", str(cfg), *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert seen == {} and not out.exists()
+
+    def test_psi_from_the_api_is_checked_at_both_grid_ends(self):
+        # an evaluator may return one value for every p
+        flat = from_formula(lambda p: 2.0, 1.0, math.inf)
+        assert all(r.passed for r in run_criteria("norm", 7, [("api", {"psis": [flat]})]).records)
+        below = from_formula(lambda p: p - 1.5, 1.0, math.inf)  # negative at grid_lo = 1.05
+        with pytest.raises(DomainError, match=r"^api: formula\(p\) = -0\.4\d* at p = 1\.05; "
+                                              r"psi must be finite and positive on its grid$"):
+            run_criteria("norm", 7, [("api", {"psis": [below]})])
 
     @pytest.mark.parametrize("verb, body, flags, code", [
         ("chain", "", ("--p-max", "1.08"), 0),
