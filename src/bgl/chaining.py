@@ -122,7 +122,7 @@ def generalized_pisier_bound(family: FunctionFamily, psi: PsiFunction,
     # grid-plus-p_star evaluation suffices for domination; member-level
     # refinement would only enlarge the bound at m times the cost
     pts = grid.with_extra([exact.p_star])
-    member = float(grid_sups([family.values], family.space.weights, pts, psi.eval(pts))[0].max())
+    member = float(grid_sups([family.values], family.space.weights, pts, psi(pts))[0].max())
     phi = fundamental_function(nu, float(family.m), grid, extra_points=[exact.p_star])
     return GeneralizedPisierResult(
         bound=member * phi,
@@ -196,14 +196,13 @@ def entropy_sum_bound(family: FunctionFamily, p: float, theta: float,
 
 
 def chained_product_bound(family: FunctionFamily, psi: PsiFunction, nu: PsiFunction,
-                          grid: PGrid, theta: float, k_max: int = 32,
+                          grid: PGrid, theta: float,
                           metric: SemiMetric | None = None) -> ChainingReport:
     """Chaining in the grand Lebesgue scale: anchor plus
     sum_k theta^{k-1} phi(G(nu), N(T, d_psi, theta^k)) plus tail, dominating
     ||max|Y|||_{G(psi nu)}.  The one-theta case of `chained_product_bounds`.
     """
-    return chained_product_bounds(family, psi, nu, grid, (theta,), k_max=k_max,
-                                  metric=metric)[0]
+    return chained_product_bounds(family, psi, nu, grid, (theta,), metric=metric)[0]
 
 
 def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunction,
@@ -221,7 +220,7 @@ def chained_product_bounds(family: FunctionFamily, psi: PsiFunction, nu: PsiFunc
     zeta = product_psi(psi, nu)
     exact = bgl_norm(abs_sup(family), zeta, grid)
     pts = grid.with_extra([exact.p_star])
-    anchor = float(grid_sups([family.values], family.space.weights, pts, zeta.eval(pts))[0].max())
+    anchor = float(grid_sups([family.values], family.space.weights, pts, zeta(pts))[0].max())
     phi = {}
 
     def factor(n):
@@ -268,11 +267,10 @@ def polynomial_entropy_check(family: FunctionFamily, psi: PsiFunction, kappa: fl
             )
     else:
         c_fit = 1.0
-    weight = psi_kappa(psi, kappa)
-    ratios = []
-    for p in weight.check_support(p_grid):
-        bound = entropy_sum_bound(family, float(p), theta).bound_value
-        ratios.append((float(p), bound / float(weight.eval(p))))
+    pts = np.asarray(p_grid, dtype=float)
+    scale = psi_kappa(psi, kappa)(pts)
+    ratios = [(float(p), entropy_sum_bound(family, float(p), theta).bound_value / float(w))
+              for p, w in zip(pts, scale)]
     vals = [r for _, r in ratios]
     spread = max(vals) / min(vals)
     return PolyEntropyReport(c_fit=c_fit, kappa=kappa, ratios=tuple(ratios),
@@ -396,14 +394,14 @@ def mri_chaining_bound(family: FunctionFamily, spec: MriNormSpec,
     |max|Y||_p <= g(p) pointwise and the norm is monotone, <g> dominates the
     m.r.i. norm of the pointwise max (checked to 1e-9 relative)."""
     sup_f = abs_sup(family)
-    xs = spec.nodes if spec.kind == "quadrature" else spec.psi.check_support(spec.grid.points)
+    xs = spec.nodes if spec.kind == "quadrature" else spec.grid.points
+    scale = spec.psi(xs) if spec.kind == "sup" else None
     g = np.array([entropy_sum_bound(family, float(x), theta).bound_value for x in xs])
     if spec.kind == "quadrature":
         bound = float(np.dot(spec.weights, (g / xs ** spec.alpha) ** spec.q)
                       ** (1.0 / spec.q))
         exact = mri_norm(sup_f, spec)
     else:
-        scale = spec.psi.eval(xs)
         bound = float(np.max(g / scale))
         # grid-consistent evaluation: g is only known on the grid points
         exact = float(grid_sups([sup_f.values[None, :]], family.space.weights, xs, scale)[0][0])

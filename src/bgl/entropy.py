@@ -175,8 +175,8 @@ def family_semimetric(family: FunctionFamily, p: float | None = None,
     else:
         if grid is None:
             raise DomainError("the grand Lebesgue variant needs a grid")
-        pts = psi.check_support(grid.points)
-        scale = psi.eval(pts)
+        pts = grid.points
+        scale = psi(pts)
     values = family.values
     m = family.m
     blocks = itertools.chain([values], (values[i] - values[i + 1:] for i in range(m - 1)))
@@ -324,8 +324,8 @@ def covering_with_centers(metric: SemiMetric | SupProductMetric, eps: float,
     raise DomainError(f"unknown covering mode {mode!r}")
 
 
-def covering_number(metric: SemiMetric, eps: float, mode: str = "exact") -> int:
-    return covering_with_centers(metric, eps, mode)[0]
+def covering_number(metric: SemiMetric, eps: float) -> int:
+    return covering_with_centers(metric, eps)[0]
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,10 @@ def disjoint_indicator_family(m: int) -> FunctionFamily:
     return FunctionFamily(space, np.eye(m))
 
 
-def random_plane_metric(rng: np.random.Generator, m: int, grid_snap: int = 64) -> SemiMetric:
-    """Euclidean metric of m random points snapped to a coarse lattice, so
+def random_plane_metric(rng: np.random.Generator, m: int) -> SemiMetric:
+    """Euclidean metric of m random points snapped to the 1/64 lattice, so
     scale tests stay clear of floating-point boundary flips."""
-    pts = rng.integers(0, grid_snap + 1, size=(m, 2)) / grid_snap
+    pts = rng.integers(0, 65, size=(m, 2)) / 64
     return SemiMetric.from_points(pts)
 
 

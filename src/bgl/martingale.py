@@ -306,9 +306,9 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
     passes when both margins stay above -1e-12 times the scale of their
     right-hand side.
     """
-    pts = psi.check_support(grid.points)  # p > a >= 1: p/(p-1) is finite
+    pts = grid.points
     horizon = ens.horizon
-    psi_vals = psi.eval(pts)
+    psi_vals = psi(pts)  # inside (a, b) with a >= 1: p/(p-1) is finite
 
     # kappa = sup_n ||S_n / sigma(n)||_{G(psi)}, from the walk's member
     # norm table, which the Doob step below reads too
@@ -341,8 +341,7 @@ def martingale_block_check(ens: MartingaleEnsemble, psi: PsiFunction,
         k += 1
 
     tau = _max_over_levels(ens, 1, horizon, lambda m, s: s / (sig[m - 1] * vv[m - 1]))
-    tau_norm = float(grid_sups([tau[None, :]], ens.space.weights, pts,
-                               psi_doob(psi).eval(pts))[0][0])
+    tau_norm = float(grid_sups([tau[None, :]], ens.space.weights, pts, psi_doob(psi)(pts))[0][0])
     rhs = kappa * factor_sum
     condition = summability_check(v)
     return BlockChainReport(

@@ -205,8 +205,8 @@ def bgl_norm(f: SimpleFunction, psi: PsiFunction, grid: PGrid) -> NormResult:
     comparing two norms pass it to the other side (as `fundamental_function`'s
     extra point) so the comparison is evaluated on a common point set.
     """
-    pts = psi.check_support(grid.points)
-    ratios = lp_norm(f, pts) / psi.eval(pts)
+    pts = grid.points
+    ratios = lp_norm(f, pts) / psi(pts)
     j = int(np.argmax(ratios))
     best_p, best_v = float(pts[j]), float(ratios[j])
     # rescan the bracket around the argmax, 33 points per kernel call,
@@ -236,14 +236,14 @@ def fundamental_function(psi: PsiFunction, delta: float, grid: PGrid,
     """
     if not delta > 0:
         raise DomainError("delta must be positive")
-    pts = psi.check_support(grid.with_extra(extra_points))
-    vals = np.power(delta, 1.0 / pts) / psi.eval(pts)
+    pts = grid.with_extra(extra_points)
+    vals = np.power(delta, 1.0 / pts) / psi(pts)
     j = int(np.argmax(vals))
     a = float(pts[max(j - 1, 0)])
     b = float(pts[min(j + 1, pts.size - 1)])
     # deliberate duplicate of the golden-section step: see docstring.  Every
-    # bracket point lies between two points checked against the support
-    # above, so the loop evaluates psi.eval without psi's own check.
+    # bracket point lies between two points psi(pts) checked above, so the
+    # loop evaluates psi.eval without psi's own check.
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     h = lambda p: delta ** (1.0 / p) / float(psi.eval(p))

@@ -3,10 +3,11 @@
 A generating function psi lives on an open interval (a, b) with
 1 <= a < b <= inf.  The norm built from it, sup_p |f|_p / psi(p), divides
 by psi, so psi must be finite and positive on the p-grid it is evaluated
-on; the suite checks that at each grid's ends before any criterion runs,
-and no bound needs psi >= 1.  The norm only ever needs point evaluation,
+on; no bound needs psi >= 1.  The norm only ever needs point evaluation,
 so a function is stored as a vectorized evaluator plus its support
-endpoints.  Closed forms
+endpoints.  ``psi(p)`` is the one check of support, finiteness and
+positivity, and every layer evaluates psi on its grid through it; the raw
+``psi.eval`` is only for points between checked ones.  Closed forms
 (constant, power, p/(p-1), p/(p-kappa), tabulated) are provided as
 constructors.  The transforms used by the maximal inequalities (the kappa
 corrections, the Doob and Fourier weights) are each psi times a closed-form
@@ -58,10 +59,19 @@ class PsiFunction:
             raise DomainError(f"need a < b, got a={self.a}, b={self.b}")
 
     def __call__(self, p):
-        """Evaluate at p (scalar or array), requiring p inside the open support."""
+        """Evaluate at p (scalar or array), requiring p inside the open support
+        and every value finite and positive; one value may serve every p."""
         arr = self.check_support(p)
-        out = np.asarray(self.eval(arr), dtype=float)
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        with np.errstate(all="ignore"):
+            out = np.asarray(self.eval(arr), dtype=float)
+        if out.shape != arr.shape:
+            out = np.broadcast_to(out, arr.shape)
+        ok = (out > 0.0) & (out < math.inf)
+        if not ok.all():
+            i = np.flatnonzero(~ok)[0]
+            raise DomainError(f"{self.label}(p) = {out.flat[i]} at p = {arr.flat[i]:g}; "
+                              f"psi must be finite and positive on its grid")
+        return float(out) if arr.ndim == 0 else out
 
     def check_support(self, p) -> np.ndarray:
         """p as a float array, raising DomainError unless every value lies in
@@ -127,18 +137,16 @@ class PGrid:
 # constructors
 
 
-def constant(value: float = 1.0, a: float = 1.0, b: float = math.inf) -> PsiFunction:
-    if not 1.0 <= value < math.inf:
-        raise DomainError(f"constant value {value} must be finite and >= 1")
-    return PsiFunction(a, b, lambda p: np.full_like(np.asarray(p, float), value),
-                       label=f"const[{value:g}]")
+def constant() -> PsiFunction:
+    return PsiFunction(1.0, math.inf, lambda p: np.ones_like(np.asarray(p, float)),
+                       label="const[1]")
 
 
-def power(beta: float, a: float = 1.0, b: float = math.inf) -> PsiFunction:
-    """psi(p) = p^beta.  With a >= 1 and beta >= 0 this stays >= 1."""
+def power(beta: float, a: float = 1.0) -> PsiFunction:
+    """psi(p) = p^beta on (a, inf)."""
     if not math.isfinite(beta):
         raise DomainError(f"power exponent beta={beta} must be finite")
-    return PsiFunction(a, b, lambda p: np.asarray(p, float) ** beta,
+    return PsiFunction(a, math.inf, lambda p: np.asarray(p, float) ** beta,
                        label=f"power[{beta:g}]")
 
 
@@ -263,8 +271,8 @@ def check_log_convex(psi: PsiFunction, grid: PGrid) -> LogConvexityReport:
     geometric bound across all grid triples p_i < p_j < p_k.  Violations are
     reported, not raised: computed natural functions carry sampling noise.
     """
-    pts = psi.check_support(grid.points)
-    logv = np.log(psi.eval(pts))
+    pts = grid.points
+    logv = np.log(psi(pts))
     u = 1.0 / pts
     n = pts.size
     worst = -math.inf

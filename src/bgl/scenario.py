@@ -71,11 +71,12 @@ Values are parsed when the file loads: unknown sections, a key the config
 does not read (say `beta` under `name = ratio`), bad numbers and unknown
 names raise DomainError.  `run_criteria` then checks each value against its
 parameter's rule in `bgl.suite._RULES`, `p_max` against each grid's lower
-end, and each psi's support against its grids, before any check runs: a
+end, and each psi at its grids' ends, before any check runs: a
 value no check can run on (`[martingale] p = 1`, `[grid] lo = 0.5`, `[fourier]
 m_list = 512` at 1024 grid points, `[psi] name = ratio` with `kappa = 2`)
 raises DomainError too.  Errors inside a check become failed records, among
-them a delta that no subset of the atoms adds up to.
+them a delta that no subset of the atoms adds up to, and a psi*nu product
+that is not finite and positive on its grid, such as p^130 * p^130.
 """
 
 from __future__ import annotations

@@ -170,6 +170,20 @@ def test_psi_overflowing_at_p_max_exits_two():
                            b"psi must be finite and positive on its grid\n")
 
 
+def test_psi_nu_product_overflowing_on_the_grid_fails_its_records(tmp_path):
+    # p^130 is finite at both grid ends, so the run starts; the product
+    # p^260 the two chain criteria form is inf from p = 16.4 up
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("[scenario]\nkind = chain\n[psi]\nname = power\nbeta = 130\n"
+                   "[nu]\nname = power\nbeta = 130\n")
+    done = _run("-m", "bgl.cli", "chain", "--config", str(cfg))
+    assert done.returncode == 1 and done.stderr == b""
+    line = ("error = (power[130])*(power[130])(p) = inf at p = 16.4207; "
+            "psi must be finite and positive on its grid")
+    errors = [row for row in done.stdout.decode().splitlines() if ".error = " in row]
+    assert errors == [f"record.001.{line}", f"record.002.{line}"]
+
+
 def test_failed_record_keeps_its_name(suite_report, monkeypatch):
     # an error that ends a criterion fails the record of the name it writes
     from bgl import suite

@@ -325,7 +325,7 @@ class TestChainedProductBound:
         # phi(G(1), 16) is attained at the grid's smallest p, whatever the
         # extra point the exact side contributes
         fam = random_nonneg_family(make_rng(5), 16, 32)
-        rep = chained_product_bound(fam, power(1.0), constant(), GRID, 0.5, k_max=1)
+        rep = chained_product_bounds(fam, power(1.0), constant(), GRID, (0.5,), k_max=1)[0]
         assert not rep.saturated and rep.truncation_k == 1
         metric = family_semimetric(fam, psi=power(1.0), grid=GRID)
         assert covering_profile(metric, 0.5, 1).levels[-1].n_balls < 16

@@ -48,6 +48,12 @@ def unit_square_metric(side: int) -> SemiMetric:
     return SemiMetric.from_points(pts)
 
 
+def snapped_plane_metric(rng, m: int, snap: int) -> SemiMetric:
+    """m random plane points on the 1/snap lattice; a coarse lattice makes
+    zero distances between distinct indices likely."""
+    return SemiMetric.from_points(rng.integers(0, snap + 1, size=(m, 2)) / snap)
+
+
 def brute_force_cover(metric, eps, subset=None):
     """Exhaustive minimum number of eps-balls centered in T that cover the
     points of the bitmask ``subset`` (default: all of T).  Ball c is read as
@@ -449,7 +455,7 @@ class TestCoveringNumber:
         rng = make_rng(104)
         for trial in range(40):
             m = int(rng.integers(3, 17))
-            metric = random_plane_metric(rng, m, grid_snap=int(rng.choice([4, 64])))
+            metric = snapped_plane_metric(rng, m, int(rng.choice([4, 64])))
             eps = float(rng.uniform(0.15, 0.6)) * max(metric.diameter, 0.1)
             _, blocked = _ball_tables(_ball_masks(metric, eps))
             for _ in range(10):
@@ -462,8 +468,8 @@ class TestCoveringNumber:
         for trial in range(25):
             metric = random_plane_metric(rng, int(rng.integers(3, 13)))
             eps = float(rng.uniform(0.05, 0.8)) * max(metric.diameter, 0.1)
-            exact = covering_number(metric, eps, "exact")
-            greedy = covering_number(metric, eps, "greedy")
+            exact = covering_number(metric, eps)
+            greedy = covering_with_centers(metric, eps, "greedy")[0]
             assert exact <= greedy <= exact * (1 + math.log(metric.size)) + 1
 
     def test_greedy_usually_matches_exact(self):
@@ -474,8 +480,8 @@ class TestCoveringNumber:
         for _ in range(200):
             metric = random_plane_metric(rng, int(rng.integers(3, 13)))
             eps = float(rng.uniform(0.05, 1.0)) * max(metric.diameter, 0.05)
-            excess += (covering_number(metric, eps, "greedy")
-                       > covering_number(metric, eps, "exact"))
+            excess += (covering_with_centers(metric, eps, "greedy")[0]
+                       > covering_number(metric, eps))
         assert excess / 200 <= 0.1
 
     def test_two_greedy_covers_agree(self):
@@ -501,7 +507,7 @@ class TestCoveringNumber:
     def test_size_error_beyond_exact_limit(self):
         metric = unit_interval_metric(EXACT_COVER_LIMIT + 1)
         with pytest.raises(SizeError):
-            covering_number(metric, 0.1, "exact")
+            covering_number(metric, 0.1)
 
     def test_monotone_in_eps_and_extremes(self):
         rng = make_rng(102)
@@ -577,7 +583,7 @@ class TestProfile:
         rng = make_rng(15)
         saw = set()
         for m in (2, 9, 16):
-            metric = random_plane_metric(rng, m, grid_snap=4)
+            metric = snapped_plane_metric(rng, m, 4)
             prof = covering_profile(metric, 0.5, k_max, mode=mode)
             assert prof.saturated == (prof.levels[-1].n_balls >= metric.n_distinct())
             saw.add(prof.saturated)

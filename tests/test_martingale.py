@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bgl import martingale
+from bgl import martingale, suite
 from bgl.errors import DomainError, PreconditionError, SizeError
 from bgl.martingale import (
     build_walk_ensemble,
@@ -160,6 +161,21 @@ class TestDoob:
     def test_p_one_rejected(self):
         with pytest.raises(DomainError):
             doob_check(build_walk_ensemble(3), 1.0, 2)
+
+    def test_cap_is_doobs_constant(self):
+        ens = build_walk_ensemble(4)
+        for p in (1.25, 2.0, 4.0):
+            assert doob_check(ens, p, 3).cap == p / (p - 1.0)
+
+    def test_case_over_its_cap_fails_the_record(self, monkeypatch):
+        # one (p, n) case forced past its cap must fail criterion_doob's record
+        def forced(ens, p, n):
+            rep = doob_check(ens, p, n)
+            return dataclasses.replace(rep, ratio=2.0 * rep.cap) if (p, n) == (2.0, 3) else rep
+
+        assert suite.criterion_doob(1, horizons=(4,), ps=(1.25, 2.0)).passed is True
+        monkeypatch.setattr(suite, "doob_check", forced)
+        assert suite.criterion_doob(1, horizons=(4,), ps=(1.25, 2.0)).passed is False
 
     def test_max_norm_monotone_in_n(self):
         ens = build_walk_ensemble(8)
@@ -390,6 +406,13 @@ class TestBlockChain:
             tau = np.max(ens.s_values / (ens.sigma * v(np.arange(1.0, 13.0)))[None, :], axis=1)
             full = lp_norm_matrix(tau[None, :], ens.space.weights, pts)[0] / psi_doob(psi).eval(pts)
             assert rep.tau_norm == full.max()
+
+    def test_rhs_is_kappa_times_the_block_factors(self):
+        ens = build_walk_ensemble(12)
+        for v in (norming_identity(), norming_log_loglog(1.0)):
+            rep = martingale_block_check(ens, constant(), v, GRID)
+            assert len(rep.blocks) == 4
+            assert rep.rhs == rep.kappa_psi * sum(b.factor for b in rep.blocks)
 
     def test_block_margins_reported(self):
         ens = build_walk_ensemble(8)

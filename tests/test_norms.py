@@ -341,7 +341,7 @@ class TestBglNorm:
 
     def test_argmax_reported(self):
         f = sqrt_singularity_function(500)
-        psi = constant(a=1.0, b=2.0)
+        psi = from_formula(np.ones_like, 1.0, 2.0)
         grid = PGrid.log_spaced(1.01, 1.99, 64)
         res = bgl_norm(f, psi, grid)
         assert res.p_star >= grid.points[-2]  # |f|_p grows toward p = 2
@@ -355,8 +355,10 @@ def _quadrature(q=2.0, alpha=1.0, node=4.0, weight=1.0):
 # a non-finite argument must fail at its check, not turn into a NaN or zero
 # norm, or an unrelated error, further down
 @pytest.mark.parametrize("call", [
-    lambda f, grid: bgl_norm(f, constant(math.nan), grid),
-    lambda f, grid: bgl_norm(f, constant(math.inf), grid),
+    lambda f, grid: bgl_norm(f, from_formula(lambda p: np.full_like(p, math.nan), 1.0, math.inf),
+                             grid),
+    lambda f, grid: bgl_norm(f, from_formula(lambda p: np.full_like(p, math.inf), 1.0, math.inf),
+                             grid),
     lambda f, grid: bgl_norm(f, power(math.nan), grid),
     lambda f, grid: bgl_norm(f, power(math.inf), grid),
     lambda f, grid: fundamental_function(constant(), math.nan, grid),

@@ -1,11 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgl.entropy import family_semimetric
 from bgl.errors import DomainError
+from bgl.fixtures import make_rng, random_nonneg_family
+from bgl.martingale import build_walk_ensemble, martingale_block_check, norming_identity
+from bgl.measure import DiscreteMeasureSpace, SimpleFunction
+from bgl.norms import bgl_norm, fundamental_function
 from bgl.psi import (
     PGrid,
     PsiFunction,
@@ -52,10 +58,6 @@ class TestEval:
             power(1.0)(math.nan)
         with pytest.raises(DomainError):
             power(1.0).check_support([2.0, math.nan])
-
-    def test_psi_below_one_rejected_by_constant(self):
-        with pytest.raises(DomainError):
-            constant(0.5)
 
     def test_support_validation(self):
         with pytest.raises(DomainError):
@@ -165,7 +167,7 @@ class TestDoobFourierWeights:
 
 def test_transform_supports_on_a_bounded_base():
     """Each weighted transform lives on (max(a, kappa, 1), b) of its base."""
-    base = power(1.0, a=1.2, b=30.0)
+    base = from_formula(lambda p: p, 1.2, 30.0)
     cases = [(psi_kappa(base, 0.5), 1.2), (psi_kappa(base, 2.0), 2.0),
              (psi_kappa12(base, 2.0, 1.0), 2.0), (psi_kappa12(base, 2.0, 2.0), 2.0),
              (psi_kappa12(base, 0.5, 0.5), 1.2), (psi_doob(base), 1.2),
@@ -243,3 +245,44 @@ def test_product_of_constructors_stays_log_convex(beta, kappa):
     z = product_psi(power(beta), ratio(kappa))
     rep = check_log_convex(z, PGrid.log_spaced(1.3, 30, 24))
     assert rep.passed
+
+
+# psi(p) is the one check of psi's contract, and every layer that divides
+# by psi on a grid goes through it: a psi that is not finite and positive
+# there raises, and numpy warns of nothing on the way
+BAD_PSIS = {
+    "nan": from_formula(lambda p: np.full_like(p, math.nan), 1.0, math.inf),
+    "zero": from_formula(np.zeros_like, 1.0, math.inf),
+    "negative": from_formula(lambda p: -p, 1.0, math.inf),
+    "product_overflow": product_psi(power(130.0), power(130.0)),  # inf from p = 15.3 up
+}
+LAYERS = {
+    "bgl_norm": lambda psi, grid: bgl_norm(
+        SimpleFunction(DiscreteMeasureSpace(np.ones(4)), np.arange(4.0)), psi, grid),
+    "fundamental_function": lambda psi, grid: fundamental_function(psi, 0.5, grid),
+    "family_semimetric": lambda psi, grid: family_semimetric(
+        random_nonneg_family(make_rng(3), 3, 8), psi=psi, grid=grid),
+    "martingale_block_check": lambda psi, grid: martingale_block_check(
+        build_walk_ensemble(3), psi, norming_identity(), grid),
+    "check_log_convex": check_log_convex,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("layer", LAYERS)
+@pytest.mark.parametrize("bad", BAD_PSIS)
+def test_layers_reject_a_psi_that_is_not_finite_and_positive(bad, layer):
+    psi = BAD_PSIS[bad]
+    with pytest.raises(DomainError, match=rf"^{re.escape(psi.label)}\(p\) = \S+ at p = \S+; "
+                                          r"psi must be finite and positive on its grid$"):
+        LAYERS[layer](psi, PGrid.log_spaced(1.05, 60.0, 16))
+
+
+def test_psi_names_the_first_bad_point():
+    psi = from_formula(lambda p: 3.0 - p, 1.0, math.inf)
+    assert psi(2.5) == 0.5
+    with pytest.raises(DomainError, match=r"^formula\(p\) = 0\.0 at p = 3; "):
+        psi(np.array([2.0, 3.0, 4.0]))
+    # an evaluator may return one value for every p
+    assert np.array_equal(from_formula(lambda p: 2.0, 1.0, math.inf)(np.array([2.0, 3.0])),
+                          [2.0, 2.0])
